@@ -14,7 +14,7 @@ from .errors import (
     RegimeMismatch,
     ShearKitError,
 )
-from .scalars import Regime, Scalar
+from .scalars import Scalar
 from .poly import (
     MonomialBasis,
     Poly,

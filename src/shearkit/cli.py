@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from .errors import ShearKitError
@@ -29,21 +28,11 @@ EXIT_NOT_ESTABLISHED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class JobSpec:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    inputs: dict = dataclass_field(default_factory=dict)
-    params: dict = dataclass_field(default_factory=dict)
-    output: str | None = None
-    seed: int = DEFAULT_SEED
-
-    def require_positive(self, *names: str) -> None:
-        for name in names:
-            value = self.params.get(name)
-            if value is not None and value <= 0:
-                raise ShearKitError(f"parameter {name} must be positive, got {value}")
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value <= 0:
+            raise ShearKitError(f"parameter {name} must be positive, got {value}")
 
 
 def _emit(document: dict, output: str | None) -> None:
@@ -84,8 +73,7 @@ def _require_operands(args, *names: str) -> None:
 
 
 def _run_verify_identity(args) -> int:
-    spec = JobSpec("verify-identity", params={"nvars": args.nvars}, seed=args.seed)
-    spec.require_positive("nvars")
+    _require_positive(args, "nvars")
     n = args.nvars
     name = args.name
     if name in ("andersen-lempert", "al"):
@@ -151,8 +139,7 @@ def _run_verify_identity(args) -> int:
 
 
 def _run_compat(args) -> int:
-    spec = JobSpec("compat", params={"degree": args.degree}, seed=args.seed)
-    spec.require_positive("degree")
+    _require_positive(args, "degree")
     d1 = parse_vector_field(args.d1)
     d2 = parse_vector_field(args.d2, d1.nvars)
     candidates = [parse_poly(text, d1.nvars) for text in args.candidate]
@@ -162,12 +149,7 @@ def _run_compat(args) -> int:
 
 
 def _run_closure(args) -> int:
-    spec = JobSpec(
-        "closure",
-        params={"degree_cap": args.degree_cap, "depth": args.depth},
-        seed=args.seed,
-    )
-    spec.require_positive("degree_cap", "depth")
+    _require_positive(args, "degree_cap", "depth")
     if args.generators:
         generators = _read_fields_file(args.generators, None)
         if not generators:
@@ -203,12 +185,7 @@ def _load_subvariety(args) -> SubvarietyInput:
 
 
 def _run_codim2(args) -> int:
-    spec = JobSpec(
-        "codim2",
-        params={"degree": args.degree, "degree_cap": args.degree_cap, "depth": args.depth},
-        seed=args.seed,
-    )
-    spec.require_positive("degree", "depth")
+    _require_positive(args, "degree", "depth")
     data = _load_subvariety(args)
     cert = subvariety.codim2_module_certificate(
         data, args.degree, args.degree_cap, args.depth
@@ -218,10 +195,7 @@ def _run_codim2(args) -> int:
 
 
 def _run_sl_demo(args) -> int:
-    spec = JobSpec(
-        "sl-demo", params={"n": args.n, "trials": args.trials}, seed=args.seed
-    )
-    spec.require_positive("n", "trials")
+    _require_positive(args, "n", "trials")
     n = args.n
     d1, d2 = density.sl_pair_derivations(n)
     det = density.determinant_poly(n)
@@ -308,17 +282,16 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _run_approx(args) -> int:
-    spec = JobSpec(
-        "approx",
-        params={"time": args.time, "steps": args.steps, "points": args.points},
-        seed=args.seed,
-    )
-    spec.require_positive("time", "steps", "points")
+    _require_positive(args, "time", "steps", "points")
     substeps = _parse_int_list(args.substeps)
     if not substeps or any(m < 1 for m in substeps):
         raise ShearKitError("--substeps needs positive step counts, e.g. 8,16,32")
     if args.isotopy:
-        doc = json.loads(Path(args.isotopy).read_text(encoding="utf-8"))
+        doc = serialize.require_keys(
+            json.loads(Path(args.isotopy).read_text(encoding="utf-8")),
+            "isotopy file",
+            fields=[str],
+        )
         table = [parse_vector_field(text) for text in doc["fields"]]
         field_at = table
         slices = len(table)
@@ -355,12 +328,7 @@ def _run_approx(args) -> int:
 
 
 def _run_basin(args) -> int:
-    spec = JobSpec(
-        "basin",
-        params={"max_iter": args.max_iter},
-        seed=args.seed,
-    )
-    spec.require_positive("max_iter")
+    _require_positive(args, "max_iter")
     if args.map:
         doc = json.loads(Path(args.map).read_text(encoding="utf-8"))
         seq = dynamics.autoseq_from_json_dict(doc)

@@ -2,7 +2,7 @@
 
 The operations here turn the generation criteria for Lie algebras of
 completely integrable polynomial vector fields into machine-checkable
-objects.  Everything runs in the exact regime and every certificate is
+objects.  All arithmetic is exact and every certificate is
 one-sided: a success is an exact, replayable containment at a truncated
 degree, a failure establishes nothing.
 
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ArityMismatch, PreconditionError, RegimeMismatch, ShearKitError
+from .errors import ArityMismatch, PreconditionError, ShearKitError
 from .fields import (
     DEFAULT_NILPOTENCY_CAP,
     NilpotencyVerdict,
@@ -34,7 +34,7 @@ from .fields import (
 )
 from .linalg import TrackedSpan, nullspace, rref
 from .poly import MonomialBasis, Poly, grlex_key
-from .scalars import Regime, Scalar
+from .scalars import Scalar
 from . import serialize
 
 __all__ = [
@@ -83,12 +83,6 @@ class IdentityCheck:
         return self.holds
 
 
-def _require_exact(*polys: Poly) -> None:
-    for p in polys:
-        if p.regime is Regime.APPROX:
-            raise RegimeMismatch("identity verification runs in the exact regime only")
-
-
 def _check(residual: VectorField) -> IdentityCheck:
     return IdentityCheck(residual.is_zero(), residual)
 
@@ -99,7 +93,6 @@ def verify_shear_identity(f1: Poly, f2: Poly) -> IdentityCheck:
     Requires f1 in Ker d1 and f2 in Ker d2 (d_i the coordinate
     derivations); violations raise instead of producing a verdict.
     """
-    _require_exact(f1, f2)
     if f1.nvars != f2.nvars:
         raise ArityMismatch("operands disagree on variable count")
     n = f1.nvars
@@ -126,7 +119,6 @@ def verify_compat_identity(
     d1: VectorField, d2: VectorField, a: Poly, f1: Poly, f2: Poly
 ) -> IdentityCheck:
     """Check [a f1 d1, f2 d2] - [f1 d1, a f2 d2] = -b f1 f2 d2 with b = d1(a)."""
-    _require_exact(a, f1, f2)
     if len({d1.nvars, d2.nvars, a.nvars, f1.nvars, f2.nvars}) != 1:
         raise ArityMismatch("operands disagree on variable count")
     violations = []
@@ -310,7 +302,7 @@ def check_compatibility(
     else:
         condition_one = ConditionOne("not-established", degree)
         for h in candidate_ideals:
-            if h.is_zero() or h.degree > degree or h.regime is Regime.APPROX:
+            if h.is_zero() or h.degree > degree:
                 continue
             h_deg = h.degree
             multiples_ok = True
@@ -533,8 +525,6 @@ def lie_closure(
     for gen in generators:
         if gen.nvars != nvars:
             raise ArityMismatch("generators disagree on variable count")
-        if gen.regime is Regime.APPROX:
-            raise RegimeMismatch("lie_closure runs in the exact regime only")
         if gen.degree > degree_cap:
             raise PreconditionError(
                 f"generator {gen} exceeds the coefficient degree cap {degree_cap}"
@@ -591,8 +581,6 @@ def lie_closure(
     for target in targets:
         if target.nvars != nvars:
             raise ArityMismatch("target disagrees on variable count")
-        if target.regime is Regime.APPROX:
-            raise RegimeMismatch("targets must be exact")
         if target.degree > degree_cap:
             target_records.append(
                 TargetRecord(target, False, None, "target degree exceeds the cap")

@@ -25,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, PreconditionError, RegimeMismatch
+from .errors import ArityMismatch, PreconditionError, RegimeMismatch, ShearKitError
 from .fields import VectorField
 from .poly import Poly, grlex_key
-from .scalars import Regime, Scalar
+from .scalars import Scalar
 from . import serialize
 
 __all__ = [
@@ -295,35 +295,30 @@ def autoseq_to_json_dict(seq: AutoSeq) -> dict:
 
 
 def autoseq_from_json_dict(doc: dict) -> AutoSeq:
+    serialize.require_keys(doc, "automorphism sequence", nvars=int, elements=list)
     nvars = doc["nvars"]
     elements: list[ElementaryFlow] = []
     for entry in doc["elements"]:
-        kind = entry["kind"]
-        if kind == "shear":
-            elements.append(
-                ShearFlow(
-                    entry["axis"] - 1,
-                    serialize.poly_from_text(entry["coeff"], nvars),
-                    complex(entry["time"][0], entry["time"][1]),
-                )
+        kind = serialize.require_keys(entry, "sequence element", kind=str)["kind"]
+        if kind in ("shear", "overshear"):
+            serialize.require_keys(
+                entry, f"{kind} element", axis=int, coeff=str, time=(float, float)
             )
-        elif kind == "overshear":
+            flow = ShearFlow if kind == "shear" else OvershearFlow
             elements.append(
-                OvershearFlow(
+                flow(
                     entry["axis"] - 1,
                     serialize.poly_from_text(entry["coeff"], nvars),
-                    complex(entry["time"][0], entry["time"][1]),
+                    complex(*entry["time"]),
                 )
             )
         elif kind == "diagonal":
-            elements.append(
-                DiagonalFlow(
-                    tuple(entry["weights"]),
-                    complex(entry["factor"][0], entry["factor"][1]),
-                )
+            serialize.require_keys(
+                entry, "diagonal element", weights=[int], factor=(float, float)
             )
+            elements.append(DiagonalFlow(tuple(entry["weights"]), complex(*entry["factor"])))
         else:
-            raise ValueError(f"unknown element kind {kind!r}")
+            raise ShearKitError(f"unknown element kind {kind!r}")
     return AutoSeq(nvars, elements)
 
 
@@ -400,8 +395,6 @@ def decompose_field(field: VectorField) -> list[CompletePrimitive]:
     n = field.nvars
     if n < 2:
         raise PreconditionError("decomposition needs at least two variables")
-    if field.regime is Regime.APPROX:
-        raise RegimeMismatch("decompose_field runs on exact fields")
     primitives: list[CompletePrimitive] = []
     for i, comp in enumerate(field.components):
         for exp in sorted(comp.terms, key=grlex_key):
@@ -857,6 +850,11 @@ class GridSpec:
         def vec(entries):
             return tuple(complex(a, b) for a, b in entries)
 
+        pair = (float, float)
+        serialize.require_keys(
+            doc, "grid spec", origin=[pair], axis_u=[pair], axis_v=[pair],
+            nu=int, nv=int, u_range=pair, v_range=pair,
+        )
         return cls(
             vec(doc["origin"]),
             vec(doc["axis_u"]),

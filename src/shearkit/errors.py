@@ -8,7 +8,12 @@ class ShearKitError(Exception):
 
 
 class RegimeMismatch(ShearKitError):
-    """Raised when exact and approximate coefficients meet in one operation."""
+    """Raised when a float or complex value reaches an exact-only entry point.
+
+    The exact-only entry points are `Scalar.exact`, the time of
+    `flow_nilpotent` and `AutoSeq.apply_exact`; the last also raises it
+    for an element that has no exact evaluation.
+    """
 
 
 class ArityMismatch(ShearKitError):

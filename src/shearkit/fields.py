@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import ArityMismatch, ParseError, PreconditionError, RegimeMismatch
 from .linalg import nullspace
 from .poly import MonomialBasis, Poly, format_poly, grlex_key, parse_poly
-from .scalars import Regime, Scalar
+from .scalars import Scalar
 
 __all__ = [
     "VectorField",
@@ -52,16 +52,9 @@ class VectorField:
         if not components:
             raise ArityMismatch("a vector field needs at least one component")
         nvars = components[0].nvars
-        regime = None
         for comp in components:
             if comp.nvars != nvars:
                 raise ArityMismatch("vector field components disagree on variable count")
-            r = comp.regime
-            if r is not None:
-                if regime is None:
-                    regime = r
-                elif regime is not r:
-                    raise RegimeMismatch("mixed coefficient regimes in one vector field")
         self.nvars = nvars
         self.components = components
 
@@ -82,13 +75,6 @@ class VectorField:
         comps = [Poly.zero(nvars)] * nvars
         comps[index] = coefficient
         return cls(comps)
-
-    @property
-    def regime(self) -> Regime | None:
-        for comp in self.components:
-            if comp.regime is not None:
-                return comp.regime
-        return None
 
     @property
     def degree(self) -> int:
@@ -198,7 +184,6 @@ def format_vector_field(field: VectorField) -> str:
 class NilpotencyVerdict(Enum):
     NILPOTENT = "nilpotent"
     NOT_NILPOTENT_WITHIN_CAP = "not-nilpotent-within-cap"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -223,9 +208,6 @@ class NilpotencyReport:
 def nilpotency_report(field: VectorField, cap: int = DEFAULT_NILPOTENCY_CAP) -> NilpotencyReport:
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if field.regime is Regime.APPROX:
-        # exact-zero questions have no honest answer in floating point
-        return NilpotencyReport(NilpotencyVerdict.INDETERMINATE, None, cap)
     orders = []
     for i in range(field.nvars):
         order = annihilation_order(field, Poly.variable(field.nvars, i), cap)
@@ -257,8 +239,6 @@ def kernel_basis(field: VectorField, degree: int) -> list[Poly]:
     elimination; the result is deterministic for the fixed graded-lex
     order and sorted by leading monomial.
     """
-    if field.regime is Regime.APPROX:
-        raise RegimeMismatch("kernel_basis needs an exact-regime field")
     basis = MonomialBasis(field.nvars, degree)
     images = []
     out_monomials: dict[tuple[int, ...], int] = {}
@@ -378,8 +358,6 @@ class PolyMap:
 
 def _as_exact_scalar(t) -> Scalar:
     if isinstance(t, Scalar):
-        if t.regime is not Regime.EXACT:
-            raise RegimeMismatch("symbolic flows take exact time values")
         return t
     if isinstance(t, (int, Fraction)):
         return Scalar.exact(t)

@@ -1,6 +1,6 @@
 """Exact linear algebra over `Scalar` entries.
 
-Everything here runs in the exact regime: no pivot thresholds, no
+Every entry is an exact Gaussian rational: no pivot thresholds, no
 tolerances.  Vectors are either dense lists or sparse index->Scalar
 dicts; `TrackedSpan` additionally remembers how each echelon row was
 built from the inserted source vectors, which is what makes emitted
@@ -11,21 +11,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import RegimeMismatch
-from .scalars import Regime, Scalar
+from .scalars import Scalar
 
 __all__ = ["rref", "nullspace", "TrackedSpan"]
 
 
-def _check_exact(value: Scalar) -> Scalar:
-    if value.regime is not Regime.EXACT:
-        raise RegimeMismatch("exact linear algebra rejects approximate entries")
-    return value
-
-
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    work = [[_check_exact(v) for v in row] for row in rows]
+    work = [list(row) for row in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -118,8 +111,6 @@ class TrackedSpan:
         An empty remainder means the vector lies in the span and equals
         ``sum(c_k * row_k)`` over the returned combination.
         """
-        for value in vector.values():
-            _check_exact(value)
         return self._reduce(vector)
 
     def contains(self, vector: dict[int, Scalar]) -> bool:
@@ -128,8 +119,6 @@ class TrackedSpan:
 
     def insert(self, vector: dict[int, Scalar], source: object = None) -> int | None:
         """Insert a vector; returns the new row index, or None if dependent."""
-        for value in vector.values():
-            _check_exact(value)
         remainder, combo = self._reduce(vector)
         if not remainder:
             return None

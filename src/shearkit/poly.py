@@ -1,15 +1,15 @@
-"""Sparse multivariate polynomial arithmetic over both coefficient regimes.
+"""Sparse multivariate polynomial arithmetic over the Gaussian rationals.
 
 A polynomial in n variables is a map from exponent vectors (length-n
 tuples of non-negative ints) to nonzero `Scalar` coefficients.  Zero
-coefficients are never stored, every stored coefficient shares one
-regime, and the zero polynomial has total degree -1 by convention.
+coefficients are never stored, and the zero polynomial has total degree
+-1 by convention.
 
 Term order is graded lexicographic with x1 > x2 > ... > xn, fixed
 globally so that formatted output, monomial bases and echelonized
 certificates are deterministic.
 
-Text grammar (exact regime, bit-exact round trip)::
+Text grammar (bit-exact round trip)::
 
     expr   := term { ("+" | "-") term }
     term   := signed { "*" signed }
@@ -28,8 +28,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ArityMismatch, ParseError, RegimeMismatch
-from .scalars import Regime, Scalar
+from .errors import ArityMismatch, ParseError
+from .scalars import Scalar
 
 __all__ = [
     "Poly",
@@ -56,7 +56,6 @@ class Poly:
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
         cleaned: dict[tuple[int, ...], Scalar] = {}
-        regime = None
         if terms:
             for exp, coeff in terms.items():
                 if len(exp) != nvars:
@@ -67,10 +66,6 @@ class Poly:
                     raise ValueError(f"negative exponent in {exp}")
                 if coeff.is_zero():
                     continue
-                if regime is None:
-                    regime = coeff.regime
-                elif coeff.regime is not regime:
-                    raise RegimeMismatch("mixed coefficient regimes in one polynomial")
                 cleaned[tuple(exp)] = coeff
         self.nvars = nvars
         self.terms = cleaned
@@ -100,13 +95,6 @@ class Poly:
         return cls(nvars, {tuple(exponents): coeff})
 
     # -- basic structure ----------------------------------------------
-
-    @property
-    def regime(self) -> Regime | None:
-        """Coefficient regime, or None for the regime-neutral zero polynomial."""
-        for coeff in self.terms.values():
-            return coeff.regime
-        return None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,18 +127,12 @@ class Poly:
         if self.nvars != other.nvars:
             raise ArityMismatch(f"operands use {self.nvars} and {other.nvars} variables")
 
-    def _check_regime(self, other: "Poly") -> None:
-        a, b = self.regime, other.regime
-        if a is not None and b is not None and a is not b:
-            raise RegimeMismatch("cannot combine exact and approximate polynomials")
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_arity(other)
-        self._check_regime(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
             cur = out.get(exp)
@@ -179,7 +161,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_arity(other)
-        self._check_regime(other)
         out: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -199,8 +180,6 @@ class Poly:
     def scale(self, factor: Scalar) -> "Poly":
         if factor.is_zero():
             return Poly.zero(self.nvars)
-        if self.regime is not None and factor.regime is not self.regime:
-            raise RegimeMismatch("scaling factor regime differs from polynomial regime")
         result = Poly.__new__(Poly)
         result.nvars = self.nvars
         result.terms = {exp: coeff * factor for exp, coeff in self.terms.items()}
@@ -233,14 +212,7 @@ class Poly:
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.nvars:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
-        regime = self.regime
-        for value in point:
-            if regime is not None and value.regime is not regime:
-                raise RegimeMismatch("evaluation point regime differs from polynomial regime")
-            regime = regime or value.regime
-        if regime is None:
-            regime = Regime.EXACT
-        total = Scalar.exact(0) if regime is Regime.EXACT else Scalar.approx(0.0)
+        total = Scalar.exact(0)
         for exp, coeff in self.terms.items():
             term = coeff
             for value, e in zip(point, exp):
@@ -292,12 +264,6 @@ class Poly:
                     term = term * power(i, e)
             total = total + term
         return total
-
-    def to_approx(self) -> "Poly":
-        return Poly(
-            self.nvars,
-            {exp: Scalar.approx(coeff.to_complex()) for exp, coeff in self.terms.items()},
-        )
 
     def key(self):
         """Hashable canonical form, usable for dedup sets."""
@@ -528,7 +494,7 @@ class _Parser:
 
 
 def parse_poly(text: str, nvars: int) -> Poly:
-    """Parse the polynomial grammar into an exact-regime polynomial."""
+    """Parse the polynomial grammar into an exact polynomial."""
     return _Parser(text, nvars).parse()
 
 
@@ -557,10 +523,6 @@ def format_scalar(value: Scalar) -> str:
 
 def _scalar_sign_body(value: Scalar) -> tuple[int, str]:
     """Split a coefficient into a display sign and an unsigned body string."""
-    if value.regime is Regime.APPROX:
-        # diagnostic form only; the grammar has no float literals
-        connector = "-" if value.im < 0 else "+"
-        return 1, f"({value.re!r}{connector}{abs(value.im)!r}i)"
     re, im = value.re, value.im
     if im == 0:
         sign = -1 if re < 0 else 1

@@ -1,34 +1,25 @@
-"""Coefficient arithmetic in two regimes: exact Gaussian rationals and complex doubles.
+"""Exact coefficient arithmetic over the Gaussian rationals.
 
-Every polynomial in this package carries coefficients from exactly one
-regime.  The exact regime stores real and imaginary parts as
-`fractions.Fraction` values (automatically reduced, positive denominator,
-arbitrary precision), so all identity checks run with zero tolerance.
-The approximate regime stores both parts as floats and exists for the
-numeric dynamics pipeline only.  Mixing the two regimes in one operation
-raises `RegimeMismatch`.
+A scalar stores its real and imaginary parts as `fractions.Fraction`
+values (automatically reduced, positive denominator, arbitrary precision),
+so all identity checks run with zero tolerance.  The numeric dynamics
+pipeline reads these exact coefficients through `Scalar.to_complex`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
 from .errors import RegimeMismatch
 
-__all__ = ["Regime", "Scalar", "ZERO", "ONE", "I"]
-
-
-class Regime(Enum):
-    EXACT = "exact"
-    APPROX = "approx"
+__all__ = ["Scalar", "ZERO", "ONE", "I"]
 
 
 _RATIONAL = (int, Fraction)
 
 
 class Scalar:
-    """A complex scalar tagged, by construction, with its coefficient regime.
+    """An exact complex scalar: a pair of rationals.
 
     Instances are immutable by convention; no method mutates `re` or `im`.
     """
@@ -41,11 +32,6 @@ class Scalar:
         if re_rat and im_rat:
             self.re = Fraction(re)
             self.im = Fraction(im)
-        elif isinstance(re, float) and (im_rat or isinstance(im, float)):
-            self.re = float(re)
-            self.im = float(im)
-        elif re_rat and isinstance(im, float):
-            raise RegimeMismatch("cannot mix a rational part with a float part")
         else:
             raise TypeError(f"unsupported scalar parts {re!r}, {im!r}")
 
@@ -55,30 +41,11 @@ class Scalar:
             raise RegimeMismatch("exact scalars take int or Fraction parts")
         return cls(Fraction(re), Fraction(im))
 
-    @classmethod
-    def approx(cls, value) -> "Scalar":
-        z = complex(value)
-        return cls(z.real, z.imag)
-
-    @property
-    def regime(self) -> Regime:
-        return Regime.EXACT if isinstance(self.re, Fraction) else Regime.APPROX
-
     def _lift(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.regime is not self.regime:
-                raise RegimeMismatch(
-                    f"cannot combine {self.regime.value} and {other.regime.value} scalars"
-                )
             return other
-        if isinstance(other, int):
-            if self.regime is Regime.EXACT:
-                return Scalar.exact(other)
-            return Scalar.approx(other)
-        if isinstance(other, Fraction):
-            if self.regime is Regime.EXACT:
-                return Scalar.exact(other)
-            raise RegimeMismatch("Fraction operand requires the exact regime")
+        if isinstance(other, _RATIONAL):
+            return Scalar.exact(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -150,14 +117,10 @@ class Scalar:
         return Scalar(self.re, -self.im)
 
     def one_like(self) -> "Scalar":
-        if self.regime is Regime.EXACT:
-            return Scalar.exact(1)
-        return Scalar.approx(1.0)
+        return Scalar.exact(1)
 
     def zero_like(self) -> "Scalar":
-        if self.regime is Regime.EXACT:
-            return Scalar.exact(0)
-        return Scalar.approx(0.0)
+        return Scalar.exact(0)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -174,14 +137,10 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (
-            self.regime is other.regime
-            and self.re == other.re
-            and self.im == other.im
-        )
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.regime, self.re, self.im))
+        return hash((self.re, self.im))
 
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"

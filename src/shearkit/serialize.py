@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import ShearKitError
 from .poly import format_poly, format_scalar, parse_poly, parse_scalar
 from .fields import format_vector_field, parse_vector_field
 
@@ -17,6 +18,7 @@ SCHEMA_VERSION = 1
 __all__ = [
     "SCHEMA_VERSION",
     "canonical_dumps",
+    "require_keys",
     "scalar_to_text",
     "scalar_from_text",
     "poly_to_text",
@@ -30,6 +32,38 @@ __all__ = [
 
 def canonical_dumps(document: dict) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _matches(value, shape) -> bool:
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_matches(v, shape[0]) for v in value)
+    if isinstance(shape, tuple):
+        return (
+            isinstance(value, list)
+            and len(value) == len(shape)
+            and all(map(_matches, value, shape))
+        )
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if shape is float else shape)
+
+
+def require_keys(doc, what: str, **shapes) -> dict:
+    """Return `doc` once it is a JSON object whose keys have the given shapes.
+
+    A shape is a type (`float` admits any number), ``[shape]`` for a list
+    of such items, or a tuple of shapes for a list of that exact length.
+    Anything else raises `ShearKitError`, so a malformed input file is a
+    usage error rather than a traceback.
+    """
+    if not isinstance(doc, dict):
+        raise ShearKitError(f"{what} must be a JSON object")
+    for key, shape in shapes.items():
+        if key not in doc:
+            raise ShearKitError(f"{what} lacks the key {key!r}")
+        if not _matches(doc[key], shape):
+            raise ShearKitError(f"{what} has a malformed {key!r}: {doc[key]!r}")
+    return doc
 
 
 scalar_to_text = format_scalar

@@ -22,28 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ArityMismatch, PreconditionError, RegimeMismatch
+from .errors import ArityMismatch, PreconditionError
 from .density import (
     DEFAULT_BRACKET_DEPTH,
     IdentityCheck,
     LieClosureCertificate,
+    _check,
     lie_closure,
 )
 from .linalg import TrackedSpan
 from .poly import MonomialBasis, Poly, grlex_key
-from .scalars import Regime, Scalar
+from .scalars import Scalar
 from .fields import VectorField
 from . import serialize
-
-
-def _require_exact(*polys: Poly) -> None:
-    for p in polys:
-        if p.regime is Regime.APPROX:
-            raise RegimeMismatch("identity verification runs in the exact regime only")
-
-
-def _check(residual: VectorField) -> IdentityCheck:
-    return IdentityCheck(residual.is_zero(), residual)
 
 __all__ = [
     "SubvarietyInput",
@@ -81,8 +72,6 @@ class SubvarietyInput:
                 raise ArityMismatch("ideal generators disagree on variable count")
             if gen.is_zero():
                 raise PreconditionError("ideal generators must be nonzero")
-            if gen.regime is Regime.APPROX:
-                raise RegimeMismatch("ideal generators must be exact")
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,6 +83,7 @@ class SubvarietyInput:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SubvarietyInput":
+        serialize.require_keys(doc, "ideal file", nvars=int, generators=[str])
         nvars = doc["nvars"]
         gens = tuple(serialize.poly_from_text(g, nvars) for g in doc["generators"])
         return cls(nvars, gens)
@@ -227,7 +217,6 @@ def build_vanishing_shear(
 
 def verify_codim2_identity(f1: Poly, h1: Poly, f2: Poly, h2: Poly) -> IdentityCheck:
     """Check [f1 h1 d1, x1 f2 h2 d2] - [x1 f1 h1 d1, f2 h2 d2] = f1 f2 h1 h2 d2."""
-    _require_exact(f1, h1, f2, h2)
     if len({f1.nvars, h1.nvars, f2.nvars, h2.nvars}) != 1:
         raise ArityMismatch("operands disagree on variable count")
     n = f1.nvars
@@ -279,7 +268,6 @@ def verify_local_identities(
 
     where r has no x1, h has no x1 or x2, s >= 0, and f, g have no x1.
     """
-    _require_exact(r, h, f, g)
     if len({r.nvars, h.nvars, f.nvars, g.nvars}) != 1:
         raise ArityMismatch("operands disagree on variable count")
     n = r.nvars

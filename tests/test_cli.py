@@ -201,3 +201,26 @@ class TestDeterminism:
 def test_usage_error_exit_code():
     assert run_cli("no-such-command") == EXIT_USAGE
     assert run_cli("compat", "--d1", "[1;0]") == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["codim2", "-d", "2", "--ideal"], {}),
+        (["codim2", "-d", "2", "--ideal"], [1, 2]),
+        (["codim2", "-d", "2", "--ideal"], {"nvars": "3", "generators": ["x1"]}),
+        (["approx", "--isotopy"], {}),
+        (["basin", "--builtin", "attracting-shears", "--grid"], {}),
+        (["basin", "--map"], {}),
+        (["basin", "--map"], {"nvars": 2, "elements": [{"kind": "twist"}]}),
+    ],
+    ids=["ideal-empty", "ideal-list", "ideal-nvars-text", "isotopy-empty",
+         "grid-empty", "map-empty", "map-unknown-kind"],
+)
+def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    extra = ["--csv", str(tmp_path / "out.csv")] if argv[0] == "basin" else []
+    assert run_cli(*argv, str(path), *extra) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -310,7 +311,7 @@ class TestOracle:
         # dz1/dt = t, so z1(1) = z1(0) + 1/2
         def field_at(t):
             return VectorField(
-                [Poly.constant(2, Scalar.approx(t)).to_approx(), Poly.zero(2)]
+                [Poly.constant(2, Scalar.exact(Fraction(t))), Poly.zero(2)]
             )
 
         end = integrate_flow(field_at, (0, 0), 1.0)

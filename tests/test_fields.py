@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from shearkit.errors import PreconditionError, RegimeMismatch
+from shearkit.errors import PreconditionError
 from shearkit.fields import (
     NilpotencyVerdict,
     PolyMap,
-    VectorField,
     annihilation_order,
     flow_nilpotent,
     flow_semisimple,
@@ -116,11 +115,6 @@ class TestNilpotency:
                     iterate = v.apply(iterate)
                 assert iterate.is_zero()
                 assert v.apply(iterate).is_zero()
-
-    def test_approx_regime_is_indeterminate(self):
-        comps = [P("x2", 2).to_approx(), P("0", 2)]
-        report = nilpotency_report(VectorField(comps))
-        assert report.verdict is NilpotencyVerdict.INDETERMINATE
 
     def test_annihilation_order_on_functions(self):
         v = F("[x2; 0]")

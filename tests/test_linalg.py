@@ -1,8 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
-from shearkit.errors import RegimeMismatch
 from shearkit.linalg import TrackedSpan, nullspace, rref
 from shearkit.scalars import Scalar
 
@@ -36,11 +33,6 @@ def test_nullspace_vectors_annihilate_matrix():
         for a, b in zip(row, vec):
             total = total + a * b
         assert total.is_zero()
-
-
-def test_rejects_approximate_entries():
-    with pytest.raises(RegimeMismatch):
-        rref([[Scalar.approx(1.0)]])
 
 
 class TestTrackedSpan:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shearkit.errors import ArityMismatch, ParseError, RegimeMismatch
+from shearkit.errors import ArityMismatch, ParseError
 from shearkit.poly import MonomialBasis, Poly, format_poly, parse_poly
 from shearkit.scalars import Scalar
 
@@ -135,12 +135,6 @@ class TestRingOperations:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             P("x1", 1) + P("x1", 2)
-
-    def test_regime_mixing_rejected(self):
-        exact = P("x1", 2)
-        approx = exact.to_approx()
-        with pytest.raises(RegimeMismatch):
-            exact + approx
 
 
 class TestEvaluation:

@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shearkit.dynamics import AutoSeq, ShearFlow
 from shearkit.errors import RegimeMismatch
-from shearkit.scalars import Regime, Scalar
+from shearkit.fields import flow_nilpotent, parse_vector_field
+from shearkit.poly import parse_poly
+from shearkit.scalars import Scalar
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -53,25 +56,27 @@ def test_field_axioms(a, b, c):
         assert (a / b) * b == a
 
 
-def test_regime_mixing_is_rejected():
-    exact = Scalar.exact(1)
-    approx = Scalar.approx(1.0)
-    with pytest.raises(RegimeMismatch):
-        exact + approx
-    with pytest.raises(RegimeMismatch):
-        approx * Scalar.exact(Fraction(1, 2))
-    with pytest.raises(RegimeMismatch):
-        Scalar(Fraction(1, 2), 0.25)
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: Scalar(0.5), TypeError),
+        (lambda: Scalar(Fraction(1, 2), 0.25), TypeError),
+        (lambda: Scalar.exact(0.5), RegimeMismatch),
+        (lambda: flow_nilpotent(parse_vector_field("[x2; 0]"), 0.5), RegimeMismatch),
+        (
+            lambda: AutoSeq(2, (ShearFlow(0, parse_poly("x2", 2), 0.5),)).apply_exact(
+                (Scalar.exact(1), Scalar.exact(2))
+            ),
+            RegimeMismatch,
+        ),
+    ],
+    ids=["float-part", "mixed-parts", "exact-float", "flow-time", "apply-exact-time"],
+)
+def test_floats_are_rejected_at_exact_entry_points(make, error):
+    with pytest.raises(error):
+        make()
 
 
-def test_approx_regime_round_trip():
-    z = Scalar.approx(0.5 - 2.25j)
-    assert z.regime is Regime.APPROX
-    assert z.to_complex() == 0.5 - 2.25j
-    assert (z + Scalar.approx(1.0)).to_complex() == 1.5 - 2.25j
-
-
-def test_equality_distinguishes_regimes():
-    assert Scalar.exact(1) != Scalar.approx(1.0)
+def test_equality():
     assert Scalar.exact(1, 2) == Scalar.exact(1, 2)
     assert not Scalar.exact(0).__bool__()
