@@ -532,6 +532,7 @@ def lie_closure(
     basis = MonomialBasis(nvars, degree_cap)
     span = TrackedSpan()
     fields: list[VectorField] = []
+    degrees: list[int] = []  # fields[k].degree, which is costly to recompute per pair
     records: list[BasisRecord] = []
     discarded = 0
 
@@ -545,6 +546,7 @@ def lie_closure(
         for coeff, idx in corrections:
             combined = combined + fields[idx].scale(coeff)
         fields.append(combined)
+        degrees.append(combined.degree)
         records.append(BasisRecord(kind, left, right, scale, corrections, depth))
         return True
 
@@ -558,12 +560,12 @@ def lie_closure(
         round_start = len(fields)
         for j in frontier:
             depth_j = records[j].depth
-            deg_j = fields[j].degree
+            deg_j = degrees[j]
             for i in range(j):
                 depth = max(records[i].depth, depth_j) + 1
                 if depth > depth_cap:
                     continue
-                if fields[i].degree + deg_j - 1 > degree_cap:
+                if degrees[i] + deg_j - 1 > degree_cap:
                     discarded += 1
                     continue
                 bracket = fields[i].bracket(fields[j])

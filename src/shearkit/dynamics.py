@@ -316,6 +316,10 @@ def autoseq_from_json_dict(doc: dict) -> AutoSeq:
             serialize.require_keys(
                 entry, "diagonal element", weights=[int], factor=(float, float)
             )
+            if len(entry["weights"]) != nvars:
+                raise ShearKitError(
+                    f"diagonal element has {len(entry['weights'])} weights, expected {nvars}"
+                )
             elements.append(DiagonalFlow(tuple(entry["weights"]), complex(*entry["factor"])))
         else:
             raise ShearKitError(f"unknown element kind {kind!r}")

@@ -34,11 +34,11 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
         factor = work[rank][col]
-        work[rank] = [v / factor for v in work[rank]]
+        work[rank] = [v / factor if v else v for v in work[rank]]
         for r in range(len(work)):
             if r != rank and not work[r][col].is_zero():
                 f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+                work[r] = [a - f * b if b else a for a, b in zip(work[r], work[rank])]
         pivots.append(col)
         rank += 1
     return work[:rank], pivots

@@ -213,9 +213,14 @@ def test_usage_error_exit_code():
         (["basin", "--builtin", "attracting-shears", "--grid"], {}),
         (["basin", "--map"], {}),
         (["basin", "--map"], {"nvars": 2, "elements": [{"kind": "twist"}]}),
+        (["basin", "--map"], {"nvars": 2, "elements": [
+            {"kind": "diagonal", "weights": [1], "factor": [0.5, 0]}]}),
+        (["basin", "--map"], {"nvars": 2, "elements": [
+            {"kind": "diagonal", "weights": [1, 1, 1], "factor": [0.5, 0]}]}),
     ],
     ids=["ideal-empty", "ideal-list", "ideal-nvars-text", "isotopy-empty",
-         "grid-empty", "map-empty", "map-unknown-kind"],
+         "grid-empty", "map-empty", "map-unknown-kind", "map-diagonal-too-few-weights",
+         "map-diagonal-too-many-weights"],
 )
 def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, document):
     path = tmp_path / "input.json"

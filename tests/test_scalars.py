@@ -1,3 +1,5 @@
+import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -80,3 +82,124 @@ def test_floats_are_rejected_at_exact_entry_points(make, error):
 def test_equality():
     assert Scalar.exact(1, 2) == Scalar.exact(1, 2)
     assert not Scalar.exact(0).__bool__()
+
+
+# -- the canonical (a + b i)/d triple against a Fraction-pair reference model --
+
+_BIG = 2**80
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-_BIG, max_value=_BIG),
+        st.integers(min_value=1, max_value=_BIG),
+    ),
+)
+wide_scalars = st.builds(Scalar.exact, wide_rationals, wide_rationals)
+# a small value set, so that equal scalars built independently are common
+tiny_rationals = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 4), Fraction(-3, 6)]
+)
+tiny_scalars = st.builds(Scalar.exact, tiny_rationals, tiny_rationals)
+plain_numbers = st.one_of(st.integers(min_value=-(2**70), max_value=2**70), wide_rationals)
+
+
+def _model(s):
+    return (s.re, s.im)
+
+
+def _model_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _model_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def _assert_canonical(s):
+    assert type(s.a) is int and type(s.b) is int and type(s.d) is int
+    assert s.d > 0
+    assert math.gcd(s.a, s.b, s.d) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=wide_scalars, y=wide_scalars, k=st.integers(min_value=-3, max_value=3))
+def test_operations_match_the_fraction_pair_model(x, y, k):
+    mx, my = _model(x), _model(y)
+    results = [
+        (x + y, (mx[0] + my[0], mx[1] + my[1])),
+        (x - y, (mx[0] - my[0], mx[1] - my[1])),
+        (x * y, _model_mul(mx, my)),
+        (-x, (-mx[0], -mx[1])),
+    ]
+    if not y.is_zero():
+        results.append((x / y, _model_div(mx, my)))
+    if k >= 0 or not x.is_zero():
+        expected = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            expected = _model_mul(expected, mx)
+        if k < 0:
+            expected = _model_div((Fraction(1), Fraction(0)), expected)
+        results.append((x**k, expected))
+    for value, expected in results:
+        _assert_canonical(value)
+        assert _model(value) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=wide_scalars, k=plain_numbers)
+def test_mixed_int_and_fraction_operands(x, k):
+    mx, mk = _model(x), (Fraction(k), Fraction(0))
+    results = [
+        (x + k, (mx[0] + mk[0], mx[1])),
+        (k + x, (mx[0] + mk[0], mx[1])),
+        (x - k, (mx[0] - mk[0], mx[1])),
+        (k - x, (mk[0] - mx[0], -mx[1])),
+        (x * k, _model_mul(mx, mk)),
+        (k * x, _model_mul(mk, mx)),
+    ]
+    if k != 0:
+        results.append((x / k, _model_div(mx, mk)))
+    if not x.is_zero():
+        results.append((k / x, _model_div(mk, mx)))
+    for value, expected in results:
+        _assert_canonical(value)
+        assert _model(value) == expected
+
+
+def test_division_by_zero_keeps_its_message():
+    for zero in (Scalar.exact(0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+            Scalar.exact(1, 2) / zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=tiny_scalars, y=tiny_scalars)
+def test_equality_is_model_equality_with_equal_hashes(x, y):
+    assert (x == y) == (_model(x) == _model(y))
+    if x == y:
+        assert hash(x) == hash(y)
+    # an equal value reached through arithmetic has the same triple
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=wide_scalars)
+def test_to_complex_is_bit_identical_to_float_of_the_parts(x):
+    expected = complex(float(x.re), float(x.im))
+    got = x.to_complex()
+    assert struct.pack("<dd", got.real, got.imag) == struct.pack(
+        "<dd", expected.real, expected.imag
+    )
+
+
+def test_to_complex_with_parts_above_two_to_the_sixty():
+    x = Scalar.exact(Fraction(2**61 + 1, 3**40), Fraction(-(2**67) - 5, 2**63 + 7))
+    assert x.d > 2**60
+    expected = complex(float(x.re), float(x.im))
+    got = x.to_complex()
+    assert struct.pack("<dd", got.real, got.imag) == struct.pack(
+        "<dd", expected.real, expected.imag
+    )
