@@ -34,7 +34,7 @@ from .fields import (
 )
 from .linalg import TrackedSpan, nullspace, rref
 from .poly import MonomialBasis, Poly, grlex_key
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 from . import serialize
 
 __all__ = [
@@ -224,10 +224,6 @@ def _is_diagonal(field: VectorField) -> bool:
     return True
 
 
-def _poly_coords(p: Poly, basis: MonomialBasis) -> dict[int, Scalar]:
-    return {basis.index_of(exp): coeff for exp, coeff in p.terms.items()}
-
-
 def _echelon_polys(polys: Sequence[Poly], nvars: int) -> list[Poly]:
     """Canonical reduced basis of the span, rows by descending leading monomial."""
     monomials = sorted(
@@ -289,13 +285,15 @@ def check_compatibility(
     ker1 = kernel_basis(d1, degree)
     ker2 = kernel_basis(d2, degree)
 
+    # kernel elements are nonzero and Q(i)[x] has no zero divisors, so a
+    # product's degree is the sum of its factors' degrees and never zero
+    degrees2 = [k2.degree for k2 in ker2]
     span = TrackedSpan()
     for k1 in ker1:
-        for k2 in ker2:
-            product = k1 * k2
-            if product.is_zero() or product.degree > degree:
-                continue
-            span.insert(_poly_coords(product, basis))
+        room = degree - k1.degree
+        for k2, deg2 in zip(ker2, degrees2):
+            if deg2 <= room:
+                span.insert(basis.coords(k1 * k2))
 
     if span.dimension == len(basis):
         condition_one = ConditionOne("full-span", degree)
@@ -308,7 +306,7 @@ def check_compatibility(
             multiples_ok = True
             for exp in MonomialBasis(n, degree - h_deg):
                 multiple = h * Poly.monomial(n, exp, Scalar.exact(1))
-                if not span.contains(_poly_coords(multiple, basis)):
+                if not span.contains(basis.coords(multiple)):
                     multiples_ok = False
                     break
             if multiples_ok:
@@ -498,11 +496,11 @@ def closure_from_json_dict(doc: dict) -> LieClosureCertificate:
 
 def _field_coords(field: VectorField, basis: MonomialBasis) -> dict[int, Scalar]:
     size = len(basis)
-    out = {}
-    for i, comp in enumerate(field.components):
-        for exp, coeff in comp.terms.items():
-            out[i * size + basis.index_of(exp)] = coeff
-    return out
+    return {
+        i * size + k: c
+        for i, comp in enumerate(field.components)
+        for k, c in basis.coords(comp).items()
+    }
 
 
 def lie_closure(
@@ -712,32 +710,22 @@ def orbit_span_closure(
             raise ArityMismatch("linear maps must be square of matching dimension")
 
     span = TrackedSpan()
-    dense: list[list[Scalar]] = []
-
-    def insert(vec: list[Scalar]) -> bool:
-        coords = {i: v for i, v in enumerate(vec) if not v.is_zero()}
-        if not coords:
-            return False
-        if span.insert(coords) is None:
-            return False
-        dense.append(vec)
-        return True
-
     for v in seeds:
-        insert(v)
+        span.insert({i: x for i, x in enumerate(v) if x})
+    # the span's rows span the same space as the vectors inserted so far,
+    # so closing the rows under the maps closes the span
     cursor = 0
-    while cursor < len(dense):
-        vec = dense[cursor]
+    while cursor < span.dimension:
+        row = span.vectors[cursor]
         cursor += 1
         for m in matrices:
-            image = [
-                sum((m[i][j] * vec[j] for j in range(n)), Scalar.exact(0))
-                for i in range(n)
-            ]
-            insert(image)
+            image = (sum((m[i][j] * x for j, x in row.items()), ZERO) for i in range(n))
+            span.insert({i: x for i, x in enumerate(image) if x})
 
-    reduced, _ = rref(dense) if dense else ([], [])
-    basis = tuple(tuple(row) for row in reduced)
+    reduced = span.reduced_rows()
+    basis = tuple(
+        tuple(reduced[p].get(j, ZERO) for j in range(n)) for p in sorted(reduced)
+    )
     return OrbitSpanReport(
         dimension=span.dimension,
         ambient_dimension=n,

@@ -195,6 +195,11 @@ class AutoSeq:
     def __init__(self, nvars: int, elements: Sequence[ElementaryFlow]):
         self.nvars = nvars
         self.elements = tuple(elements)
+        for element in self.elements:
+            if isinstance(element, DiagonalFlow) and len(element.weights) != nvars:
+                raise ArityMismatch(
+                    f"diagonal element has {len(element.weights)} weights, expected {nvars}"
+                )
 
     @classmethod
     def from_application_order(
@@ -316,10 +321,6 @@ def autoseq_from_json_dict(doc: dict) -> AutoSeq:
             serialize.require_keys(
                 entry, "diagonal element", weights=[int], factor=(float, float)
             )
-            if len(entry["weights"]) != nvars:
-                raise ShearKitError(
-                    f"diagonal element has {len(entry['weights'])} weights, expected {nvars}"
-                )
             elements.append(DiagonalFlow(tuple(entry["weights"]), complex(*entry["factor"])))
         else:
             raise ShearKitError(f"unknown element kind {kind!r}")

@@ -1,64 +1,63 @@
 """Exact linear algebra over `Scalar` entries.
 
 Every entry is an exact Gaussian rational: no pivot thresholds, no
-tolerances.  Vectors are either dense lists or sparse index->Scalar
-dicts; `TrackedSpan` additionally remembers how each echelon row was
-built from the inserted source vectors, which is what makes emitted
-certificates replayable.
+tolerances.  `TrackedSpan` is the one elimination engine: an
+incremental echelon span over sparse index->Scalar dicts that also
+remembers how each row was built from the inserted source vectors,
+which is what makes emitted certificates replayable.  `rref` and
+`nullspace` are dense views over it: the reduced row echelon form of
+the inserted rows, and the kernel read off the dependent columns.
+Both results are canonical, so they do not depend on the engine.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 
 __all__ = ["rref", "nullspace", "TrackedSpan"]
 
 
+def _sub_scaled(target: dict, coeff: Scalar, row: dict) -> None:
+    """target -= coeff * row, dropping entries that cancel."""
+    for key, val in row.items():
+        cur = target.get(key)
+        s = -(coeff * val) if cur is None else cur - coeff * val
+        if s.is_zero():
+            target.pop(key, None)
+        else:
+            target[key] = s
+
+
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    work = [list(row) for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if not work[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        factor = work[rank][col]
-        work[rank] = [v / factor if v else v for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [a - f * b if b else a for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    return work[:rank], pivots
+    span = TrackedSpan()
+    for row in rows:
+        span.insert({j: v for j, v in enumerate(row) if v})
+    ncols = len(rows[0]) if rows else 0
+    reduced = span.reduced_rows()
+    pivots = sorted(reduced)
+    return [[reduced[p].get(j, ZERO) for j in range(ncols)] for p in pivots], pivots
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Deterministic kernel basis: one vector per free column, ascending."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    zero = Scalar.exact(0)
-    one = Scalar.exact(1)
+    """Deterministic kernel basis: one vector per free column, ascending.
+
+    Column j is free iff it depends on the columns before it; its basis
+    vector is e_j minus that dependency.
+    """
+    span = TrackedSpan()
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
+    for j in range(ncols):
+        remainder, combo = span.reduce({i: row[j] for i, row in enumerate(rows) if row[j]})
+        if remainder:
+            span._append(remainder, combo, j)
             continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for row, pivot_col in zip(reduced, pivots):
-            if not row[free].is_zero():
-                vec[pivot_col] = -row[free]
+        vec = [ZERO] * ncols
+        vec[j] = ONE
+        for src, coeff in span.expand_combination(combo).items():
+            vec[src] = -coeff
         basis.append(vec)
     return basis
 
@@ -69,8 +68,9 @@ class TrackedSpan:
     The pivot of a row is its smallest nonzero index and pivots are
     pairwise distinct; rows are immutable once inserted, so the recorded
     provenance ``row = scale * source + sum(c_k * row_k)`` over earlier
-    rows stays valid forever and any member of the span can be replayed
-    from the original sources.
+    rows stays valid forever, any member of the span can be replayed
+    from the original sources, and each row's flattened provenance is
+    computed once.
     """
 
     def __init__(self) -> None:
@@ -80,6 +80,7 @@ class TrackedSpan:
         self.scales: list[Scalar] = []
         self.corrections: list[list[tuple[Scalar, int]]] = []
         self._by_pivot: dict[int, int] = {}
+        self._expanded: dict[int, dict[object, Scalar]] = {}
 
     @property
     def dimension(self) -> int:
@@ -94,14 +95,7 @@ class TrackedSpan:
             if row_idx is None:
                 break
             factor = work[pivot]
-            row = self.vectors[row_idx]
-            for idx, val in row.items():
-                cur = work.get(idx)
-                s = -(factor * val) if cur is None else cur - factor * val
-                if s.is_zero():
-                    work.pop(idx, None)
-                else:
-                    work[idx] = s
+            _sub_scaled(work, factor, self.vectors[row_idx])
             combo.append((factor, row_idx))
         return work, combo
 
@@ -122,6 +116,12 @@ class TrackedSpan:
         remainder, combo = self._reduce(vector)
         if not remainder:
             return None
+        return self._append(remainder, combo, source)
+
+    def _append(
+        self, remainder: dict[int, Scalar], combo: list[tuple[Scalar, int]], source: object
+    ) -> int:
+        """Store a nonzero reduction remainder as a new normalized row."""
         pivot = min(remainder)
         lead = remainder[pivot]
         normalized = {idx: val / lead for idx, val in remainder.items()}
@@ -137,26 +137,29 @@ class TrackedSpan:
         self._by_pivot[pivot] = row_idx
         return row_idx
 
+    def reduced_rows(self) -> dict[int, dict[int, Scalar]]:
+        """Pivot -> row of the reduced row echelon form of the span."""
+        out: dict[int, dict[int, Scalar]] = {}
+        for pivot in sorted(self._by_pivot, reverse=True):
+            row = dict(self.vectors[self._by_pivot[pivot]])
+            # every row already in `out` is zero at every other pivot
+            for other in [k for k in row if k != pivot and k in out]:
+                _sub_scaled(row, row[other], out[other])
+            out[pivot] = row
+        return out
+
+    def _flatten(self, row_idx: int) -> dict[object, Scalar]:
+        out = self._expanded.get(row_idx)
+        if out is None:
+            out = {self.sources[row_idx]: self.scales[row_idx]}
+            for coeff, other in self.corrections[row_idx]:
+                _sub_scaled(out, -coeff, self._flatten(other))
+            self._expanded[row_idx] = out
+        return out
+
     def expand_row(self, row_idx: int) -> dict[object, Scalar]:
         """Flatten a row's provenance to coefficients over the inserted sources."""
-        memo: dict[int, dict[object, Scalar]] = {}
-
-        def flatten(idx: int) -> dict[object, Scalar]:
-            if idx in memo:
-                return memo[idx]
-            out: dict[object, Scalar] = {self.sources[idx]: self.scales[idx]}
-            for coeff, other in self.corrections[idx]:
-                for src, val in flatten(other).items():
-                    cur = out.get(src)
-                    s = coeff * val if cur is None else cur + coeff * val
-                    if s.is_zero():
-                        out.pop(src, None)
-                    else:
-                        out[src] = s
-            memo[idx] = out
-            return out
-
-        return flatten(row_idx)
+        return dict(self._flatten(row_idx))
 
     def expand_combination(
         self, combination: Sequence[tuple[Scalar, int]]
@@ -164,11 +167,5 @@ class TrackedSpan:
         """Flatten a row combination to coefficients over the inserted sources."""
         out: dict[object, Scalar] = {}
         for coeff, row_idx in combination:
-            for src, val in self.expand_row(row_idx).items():
-                cur = out.get(src)
-                s = coeff * val if cur is None else cur + coeff * val
-                if s.is_zero():
-                    out.pop(src, None)
-                else:
-                    out[src] = s
+            _sub_scaled(out, -coeff, self._flatten(row_idx))
         return out

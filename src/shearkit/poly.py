@@ -311,6 +311,10 @@ class MonomialBasis:
     def index_of(self, exponents: Sequence[int]) -> int:
         return self._index[tuple(exponents)]
 
+    def coords(self, poly: Poly) -> dict[int, Scalar]:
+        """Sparse coordinates of a polynomial: basis index -> coefficient."""
+        return {self._index[exp]: coeff for exp, coeff in poly.terms.items()}
+
     def __contains__(self, exponents) -> bool:
         return tuple(exponents) in self._index
 

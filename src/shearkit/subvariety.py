@@ -202,8 +202,8 @@ def build_vanishing_shear(
     span = TrackedSpan()
     basis = MonomialBasis(n, max(degree, h.degree))
     for element in result.elements:
-        span.insert({basis.index_of(mon): c for mon, c in element.terms.items()})
-    if not span.contains({basis.index_of(mon): c for mon, c in h.terms.items()}):
+        span.insert(basis.coords(element))
+    if not span.contains(basis.coords(h)):
         raise PreconditionError(
             "h does not lie in the truncated ideal span at this degree bound"
         )

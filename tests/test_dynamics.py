@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shearkit.dynamics import (
@@ -28,7 +29,7 @@ from shearkit.dynamics import (
     sample_ball,
     trotter_compose,
 )
-from shearkit.errors import PreconditionError
+from shearkit.errors import ArityMismatch, PreconditionError
 from shearkit.fields import VectorField, parse_vector_field
 from shearkit.poly import Poly, parse_poly
 from shearkit.scalars import Scalar
@@ -148,6 +149,20 @@ class TestAutoSeq:
         rebuilt = autoseq_from_json_dict(json.loads(json.dumps(doc)))
         z = (0.3 + 0.2j, -0.1 + 0.5j)
         assert rebuilt.apply(z) == seq.apply(z)
+
+    @pytest.mark.parametrize("weights", [(1,), (1, 1, 1)])
+    def test_diagonal_weight_count_must_match_nvars(self, weights):
+        # a wrong weight count would truncate the point or broadcast the weights
+        wrong = DiagonalFlow(weights, 0.5)
+        with pytest.raises(ArityMismatch):
+            AutoSeq(2, [wrong]).apply((1, 1))
+        with pytest.raises(ArityMismatch):
+            AutoSeq(2, [wrong]).apply_array(np.ones((2, 3), dtype=complex))
+        with pytest.raises(ArityMismatch):
+            AutoSeq.from_application_order(2, [ShearFlow(0, P("x2", 2), 1.0), wrong])
+        right = AutoSeq(2, [DiagonalFlow((1, 2), 0.5)])
+        assert right.apply((1, 1)) == (0.5 + 0j, 0.25 + 0j)
+        assert right.apply_array(np.ones((2, 1), dtype=complex)).tolist() == [[0.5], [0.25]]
 
 
 class TestCommutatorStep:

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
 from shearkit.linalg import TrackedSpan, nullspace, rref
 from shearkit.scalars import Scalar
 
@@ -74,3 +76,125 @@ class TestTrackedSpan:
                     else:
                         rebuilt[key] = cur
             assert rebuilt == span.vectors[row_idx]
+
+
+# ---------------------------------------------------------------------------
+# Dense Gauss-Jordan reference model for the span-backed rref and nullspace
+# ---------------------------------------------------------------------------
+
+
+def _model_rref(rows):
+    work = [list(row) for row in rows]
+    if not work:
+        return [], []
+    pivots = []
+    rank = 0
+    for col in range(len(work[0])):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        lead = work[rank][col]
+        work[rank] = [v / lead for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return work[:rank], pivots
+
+
+def _model_nullspace(rows, ncols):
+    reduced, pivots = _model_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Scalar.exact(0)] * ncols
+        vec[free] = Scalar.exact(1)
+        for row, pivot_col in zip(reduced, pivots):
+            vec[pivot_col] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def _sparse(row):
+    return {j: v for j, v in enumerate(row) if v}
+
+
+gaussian = st.builds(
+    lambda a, b, d: Scalar.exact(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(1, 4),
+)
+entries = st.one_of(st.just(Scalar.exact(0)), gaussian)
+
+
+@st.composite
+def matrices(draw):
+    """(ncols, rows): small, with zero entries and dependent rows common."""
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 5))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, nrows - 1))
+        j = draw(st.integers(0, nrows - 1))
+        c = draw(gaussian)
+        rows.insert(draw(st.integers(0, nrows)), [c * a + b for a, b in zip(rows[i], rows[j])])
+    return ncols, rows
+
+
+IMAG = Scalar.exact(0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example((0, []))
+@example((3, []))
+@example((0, [[], []]))
+@example((3, [[S(0), S(0), S(0)], [S(0), S(0), S(0)]]))
+@example((3, [[S(0), S(1), S(2)], [S(0), IMAG, S(0)]]))
+@example((2, [[S(1), IMAG], [IMAG, S(-1)]]))
+@example((3, [[S(1), S(0), S(0)], [S(0), S(1), S(0)], [S(0), S(0), IMAG]]))
+def test_span_views_match_the_dense_model(matrix):
+    ncols, rows = matrix
+    expected_rows, expected_pivots = _model_rref(rows)
+    assert rref(rows) == (expected_rows, expected_pivots)
+    assert nullspace(rows, ncols) == _model_nullspace(rows, ncols)
+
+    span = TrackedSpan()
+    for row in rows:
+        span.insert(_sparse(row))
+    assert span.reduced_rows() == {
+        p: _sparse(row) for row, p in zip(expected_rows, expected_pivots)
+    }
+
+    kernel = nullspace(rows, ncols)
+    assert len(kernel) == ncols - len(expected_pivots)
+    for vec in kernel:
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, vec)), Scalar.exact(0)).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_memoized_expansion_replays_after_later_inserts(matrix):
+    _ncols, rows = matrix
+    span = TrackedSpan()
+    for tag, row in enumerate(rows):
+        span.insert(_sparse(row), tag)
+        # expand every row now, so later rows are built on memoized ones
+        for row_idx in range(span.dimension):
+            span.expand_row(row_idx)[object()] = S(1)  # callers get a copy
+    for row_idx in range(span.dimension):
+        rebuilt: dict[int, Scalar] = {}
+        for tag, coeff in span.expand_row(row_idx).items():
+            for key, value in _sparse(rows[tag]).items():
+                cur = rebuilt.get(key, Scalar.exact(0)) + coeff * value
+                if cur.is_zero():
+                    rebuilt.pop(key, None)
+                else:
+                    rebuilt[key] = cur
+        assert rebuilt == span.vectors[row_idx]
