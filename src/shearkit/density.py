@@ -285,8 +285,8 @@ def check_compatibility(
     ker1 = kernel_basis(d1, degree)
     ker2 = kernel_basis(d2, degree)
 
-    # kernel elements are nonzero and Q(i)[x] has no zero divisors, so a
-    # product's degree is the sum of its factors' degrees and never zero
+    # kernel elements are nonzero and Q(i)[x] has no zero divisors, so each
+    # product is nonzero and its degree is the sum of its factors' degrees
     degrees2 = [k2.degree for k2 in ker2]
     span = TrackedSpan()
     for k1 in ker1:
