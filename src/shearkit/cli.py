@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,8 +32,9 @@ EXIT_USAGE = 2
 def _require_positive(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
-        if value is not None and value <= 0:
-            raise ShearKitError(f"parameter {name} must be positive, got {value}")
+        # NaN fails both comparisons
+        if value is not None and not 0 < value < math.inf:
+            raise ShearKitError(f"parameter {name} must be positive and finite, got {value}")
 
 
 def _emit(document: dict, output: str | None) -> None:
@@ -282,7 +284,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _run_approx(args) -> int:
-    _require_positive(args, "time", "steps", "points")
+    _require_positive(args, "time", "steps", "points", "radius")
     substeps = _parse_int_list(args.substeps)
     if not substeps or any(m < 1 for m in substeps):
         raise ShearKitError("--substeps needs positive step counts, e.g. 8,16,32")
@@ -328,7 +330,9 @@ def _run_approx(args) -> int:
 
 
 def _run_basin(args) -> int:
-    _require_positive(args, "max_iter")
+    _require_positive(args, "max_iter", "attract_radius", "escape_radius")
+    if not all(-math.inf < bound < math.inf for bound in args.u + args.v):
+        raise ShearKitError(f"--u and --v must be finite, got {args.u} and {args.v}")
     if args.map:
         doc = json.loads(Path(args.map).read_text(encoding="utf-8"))
         seq = dynamics.autoseq_from_json_dict(doc)

@@ -14,6 +14,11 @@ commutators of exact elementary automorphisms.  Splitting those steps
 over m substeps and measuring against an independent Runge-Kutta oracle
 quantifies the approximation; iterating an attracting composition
 samples its basin, a Fatou-Bieberbach style domain.
+
+Every elementary flow has one numeric body, `apply_array`, on an
+(nvars, k) complex array of k points; `apply` evaluates one point as a
+one-column batch, so single points and batches share their arithmetic.
+`apply_exact` is the separate exact-Scalar regime for shears.
 """
 
 from __future__ import annotations
@@ -79,6 +84,12 @@ def _time_complex(time) -> complex:
     return time.to_complex() if isinstance(time, Scalar) else complex(time)
 
 
+def _apply_point(flow, point: Sequence[complex]) -> tuple[complex, ...]:
+    """Evaluate `flow.apply_array` at one point, as a one-column batch."""
+    column = np.array(point, dtype=complex).reshape(-1, 1)
+    return tuple(flow.apply_array(column)[:, 0].tolist())
+
+
 @dataclass(frozen=True)
 class ShearFlow:
     """Exact time-t flow of coeff * d/dx_axis with coeff free of x_axis.
@@ -95,15 +106,12 @@ class ShearFlow:
     def __post_init__(self):
         _shear_coefficient(self.axis, self.coeff)
 
-    def apply(self, point: tuple[complex, ...]) -> tuple[complex, ...]:
-        out = list(point)
-        out[self.axis] = out[self.axis] + _time_complex(self.time) * self.coeff.eval_complex(point)
-        return tuple(out)
-
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         out = points.copy()
-        out[self.axis] += _time_complex(self.time) * _eval_poly_array(self.coeff, points)
+        out[self.axis] += _time_complex(self.time) * self.coeff.eval_complex(points)
         return out
+
+    apply = _apply_point
 
     def apply_exact(self, point: Sequence[Scalar], time: Scalar) -> tuple[Scalar, ...]:
         out = list(point)
@@ -129,17 +137,12 @@ class OvershearFlow:
     def __post_init__(self):
         _shear_coefficient(self.axis, self.coeff)
 
-    def apply(self, point: tuple[complex, ...]) -> tuple[complex, ...]:
-        out = list(point)
-        out[self.axis] = out[self.axis] * cmath.exp(
-            self.time * self.coeff.eval_complex(point)
-        )
-        return tuple(out)
-
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         out = points.copy()
-        out[self.axis] *= np.exp(self.time * _eval_poly_array(self.coeff, points))
+        out[self.axis] *= np.exp(self.time * self.coeff.eval_complex(points))
         return out
+
+    apply = _apply_point
 
     def inverse(self) -> "OvershearFlow":
         return OvershearFlow(self.axis, self.coeff, -self.time)
@@ -156,12 +159,11 @@ class DiagonalFlow:
         if self.factor == 0:
             raise PreconditionError("diagonal flow needs a nonzero factor")
 
-    def apply(self, point: tuple[complex, ...]) -> tuple[complex, ...]:
-        return tuple(z * self.factor**w for z, w in zip(point, self.weights))
-
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         scales = np.array([self.factor**w for w in self.weights])
         return points * scales[:, None]
+
+    apply = _apply_point
 
     def inverse(self) -> "DiagonalFlow":
         return DiagonalFlow(self.weights, 1.0 / self.factor)
@@ -170,24 +172,13 @@ class DiagonalFlow:
 ElementaryFlow = ShearFlow | OvershearFlow | DiagonalFlow
 
 
-def _eval_poly_array(poly: Poly, points: np.ndarray) -> np.ndarray:
-    """Evaluate at a batch of points, shape (nvars, npoints)."""
-    total = np.zeros(points.shape[1], dtype=complex)
-    for exp, coeff in poly.terms.items():
-        term = np.full(points.shape[1], coeff.to_complex())
-        for i, e in enumerate(exp):
-            if e:
-                term = term * points[i] ** e
-        total += term
-    return total
-
-
 class AutoSeq:
     """Composition of elementary automorphisms, evaluated right to left.
 
     `elements[0]` is the outermost factor (applied last).  Every element
     carries its exact inverse; reversing and inverting the list yields
-    the exact inverse sequence.
+    the exact inverse sequence.  `apply_array` evaluates a batch of
+    points, shape (nvars, k); `apply` is its one-column view.
     """
 
     __slots__ = ("nvars", "elements")
@@ -211,12 +202,9 @@ class AutoSeq:
         return len(self.elements)
 
     def apply(self, point: Sequence[complex]) -> tuple[complex, ...]:
-        z = tuple(complex(v) for v in point)
-        if len(z) != self.nvars:
-            raise ArityMismatch(f"point has {len(z)} coordinates, expected {self.nvars}")
-        for element in reversed(self.elements):
-            z = element.apply(z)
-        return z
+        if len(point) != self.nvars:
+            raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
+        return _apply_point(self, point)
 
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         if points.shape[0] != self.nvars:
@@ -260,21 +248,11 @@ class AutoSeq:
 def autoseq_to_json_dict(seq: AutoSeq) -> dict:
     elements = []
     for element in seq.elements:
-        if isinstance(element, ShearFlow):
+        if isinstance(element, (ShearFlow, OvershearFlow)):
             t = _time_complex(element.time)
             elements.append(
                 {
-                    "kind": "shear",
-                    "axis": element.axis + 1,
-                    "coeff": serialize.poly_to_text(element.coeff),
-                    "time": [t.real, t.imag],
-                }
-            )
-        elif isinstance(element, OvershearFlow):
-            t = complex(element.time)
-            elements.append(
-                {
-                    "kind": "overshear",
+                    "kind": "shear" if isinstance(element, ShearFlow) else "overshear",
                     "axis": element.axis + 1,
                     "coeff": serialize.poly_to_text(element.coeff),
                     "time": [t.real, t.imag],
@@ -665,18 +643,17 @@ def measure_convergence(
 ) -> ConvergenceReport:
     """Max-error report for a family of approximants against a reference map."""
     points = sample_ball(nvars, radius, sample_count, seed)
-    truths = [reference(z) for z in points]
+    batch = np.array(points, dtype=complex).reshape(-1, nvars).T
     errors = []
-    for m in step_counts:
-        seq = build(m)
-        worst = 0.0
-        for z, truth in zip(points, truths):
-            approx = seq.apply(z)
-            err = math.sqrt(
-                sum(abs(a - b) ** 2 for a, b in zip(approx, truth))
-            )
-            worst = max(worst, err)
-        errors.append(worst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        truths = np.array([reference(z) for z in points], dtype=complex).reshape(-1, nvars).T
+        for m in step_counts:
+            dist = np.sqrt(np.sum(np.abs(build(m).apply_array(batch) - truths) ** 2, axis=0))
+            errors.append(float(np.max(dist, initial=0.0)))
+    if not all(math.isfinite(e) for e in errors):
+        raise PreconditionError(
+            f"the approximants or the reference overflow on the ball of radius {radius}"
+        )
     order = -fit_loglog_slope(list(step_counts), errors)
     return ConvergenceReport(
         tuple(step_counts), tuple(errors), order, radius, sample_count, seed
@@ -691,23 +668,14 @@ def trotter_convergence_report(
     sample_count: int = 25,
     seed: int = DEFAULT_SEED,
     scheme: str = "symmetric",
-    reference: Callable[[tuple[complex, ...]], tuple[complex, ...]] | None = None,
 ) -> ConvergenceReport:
-    """Convergence of the split composition for one autonomous field."""
-    primitives = decompose_field(field)
-    if reference is None:
-        def reference(z):
-            return integrate_flow(lambda _t: field, z, total_time)
+    """Convergence of the split composition for one autonomous field.
 
-    return measure_convergence(
-        lambda m: trotter_compose(primitives, field.nvars, total_time, m, scheme),
-        reference,
-        step_counts,
-        field.nvars,
-        radius,
-        sample_count,
-        seed,
-    )
+    This is the one-slice case of `approximate_isotopy`.
+    """
+    return approximate_isotopy(
+        [field], total_time, 1, step_counts, radius, sample_count, seed, scheme
+    )[1]
 
 
 def approximate_isotopy(
@@ -921,13 +889,12 @@ class BasinResult:
 def _estimate_spectral_radius(
     seq: AutoSeq, fixed_point: tuple[complex, ...], h: float = 1e-6
 ) -> float:
+    # column 0 is the fixed point, column j + 1 bumps its coordinate j
     n = seq.nvars
-    base = np.array(seq.apply(fixed_point))
-    jac = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        bumped = list(fixed_point)
-        bumped[j] += h
-        jac[:, j] = (np.array(seq.apply(tuple(bumped))) - base) / h
+    columns = np.repeat(np.array(fixed_point, dtype=complex)[:, None], n + 1, axis=1)
+    columns[range(n), range(1, n + 1)] += h
+    images = seq.apply_array(columns)
+    jac = (images[:, 1:] - images[:, :1]) / h
     return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
 

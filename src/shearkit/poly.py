@@ -222,7 +222,11 @@ class Poly:
         return total
 
     def eval_complex(self, point: Sequence[complex]) -> complex:
-        """Numeric evaluation; exact coefficients are converted on the fly."""
+        """Numeric evaluation; exact coefficients are converted on the fly.
+
+        `point` may also be an (nvars, k) numpy array of k points: the loop
+        runs over its rows, so the value is an array of k values.
+        """
         if len(point) != self.nvars:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
         total = 0j

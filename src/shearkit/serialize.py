@@ -8,6 +8,7 @@ separators so identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ShearKitError
 from .poly import format_poly, format_scalar, parse_poly, parse_scalar
@@ -45,13 +46,16 @@ def _matches(value, shape) -> bool:
         )
     if isinstance(value, bool):
         return False
-    return isinstance(value, (int, float) if shape is float else shape)
+    if shape is float:
+        # json.loads admits NaN and Infinity
+        return isinstance(value, (int, float)) and -math.inf < value < math.inf
+    return isinstance(value, shape)
 
 
 def require_keys(doc, what: str, **shapes) -> dict:
     """Return `doc` once it is a JSON object whose keys have the given shapes.
 
-    A shape is a type (`float` admits any number), ``[shape]`` for a list
+    A shape is a type (`float` admits any finite number), ``[shape]`` for a list
     of such items, or a tuple of shapes for a list of that exact length.
     Anything else raises `ShearKitError`, so a malformed input file is a
     usage error rather than a traceback.

@@ -229,3 +229,49 @@ def test_malformed_json_input_is_usage_error(tmp_path, capsys, argv, document):
     assert run_cli(*argv, str(path), *extra) == EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 0], [1, 0]],
+         "nu": 3, "nv": 3, "u_range": [-1, 1], "v_range": [-1, 1]}
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["approx", "--field", "[0; x2^2]", "--radius", "nan"], None),
+        (["approx", "--field", "[0; x2^2]", "--radius", "0"], None),
+        (["approx", "--field", "[0; x2^2]", "--radius", "-0.5"], None),
+        (["approx", "--field", "[0; x2^2]", "-T", "inf"], None),
+        (["approx", "--field", "[0; x2^2]", "-T", "nan"], None),
+        (["approx", "--field", "[x1*x2; x2^2]", "--radius", "3", "--substeps", "2,4,8",
+          "--points", "5"], None),
+        (["basin", "--builtin", "radial-contraction", "--attract-radius", "nan"], None),
+        (["basin", "--builtin", "radial-contraction", "--escape-radius", "inf"], None),
+        (["basin", "--builtin", "radial-contraction", "--escape-radius", "-1"], None),
+        (["basin", "--builtin", "radial-contraction", "--u", "nan", "1"], None),
+        (["basin", "--builtin", "radial-contraction", "--v", "-1", "inf"], None),
+        (["basin", "--builtin", "radial-contraction", "--grid"], {**_GRID, "u_range": [float("nan"), 1]}),
+        (["basin", "--builtin", "radial-contraction", "--grid"],
+         {**_GRID, "origin": [[0, float("inf")], [0, 0]]}),
+        (["basin", "--map"], {"nvars": 2, "elements": [
+            {"kind": "diagonal", "weights": [1, 1], "factor": [float("inf"), 0]}]}),
+        (["basin", "--map"], {"nvars": 2, "elements": [
+            {"kind": "shear", "axis": 1, "coeff": "x2", "time": [float("nan"), 0]}]}),
+    ],
+    ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
+         "approx-time-nan", "approx-values-overflow", "basin-attract-nan", "basin-escape-inf", "basin-escape-negative",
+         "basin-u-nan", "basin-v-inf", "grid-u-range-nan", "grid-origin-inf",
+         "map-factor-inf", "map-time-nan"],
+)
+def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv, document):
+    # json.dumps writes NaN and Infinity, which json.loads reads back as floats
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        argv = argv + [str(path)]
+    if argv[0] == "basin":
+        argv = argv + ["--nu", "3", "--nv", "3", "--csv", str(tmp_path / "out.csv")]
+    assert run_cli(*argv) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()

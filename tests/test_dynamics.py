@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shearkit.dynamics import (
     AutoSeq,
@@ -428,3 +429,113 @@ class TestGridSpec:
         doc = grid.to_json_dict()
         rebuilt = GridSpec.from_json_dict(json.loads(json.dumps(doc)))
         assert rebuilt == grid
+
+
+# ---------------------------------------------------------------------------
+# One numeric path: single points are one-column batches
+# ---------------------------------------------------------------------------
+
+small_complex = st.builds(
+    complex, st.floats(-1, 1, allow_subnormal=False), st.floats(-1, 1, allow_subnormal=False)
+)
+
+
+@st.composite
+def polys(draw, nvars, free_of=None):
+    """Up to three terms of degree <= 2 with Gaussian-rational coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exp = tuple(
+            0 if i == free_of else draw(st.integers(0, 2)) for i in range(nvars)
+        )
+        re, im = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        terms[exp] = Scalar.exact(Fraction(re, draw(st.integers(1, 4))), im)
+    return Poly(nvars, terms)
+
+
+@st.composite
+def flows(draw, nvars):
+    kind = draw(st.sampled_from(["shear", "overshear", "diagonal"]))
+    if kind == "diagonal":
+        weights = tuple(draw(st.integers(-2, 2)) for _ in range(nvars))
+        factor = draw(small_complex.filter(lambda f: abs(f) > 0.25))
+        return DiagonalFlow(weights, factor)
+    axis = draw(st.integers(0, nvars - 1))
+    coeff = draw(polys(nvars, free_of=axis))
+    time = draw(small_complex) / 2
+    return (ShearFlow if kind == "shear" else OvershearFlow)(axis, coeff, time)
+
+
+@st.composite
+def sequences_and_batches(draw):
+    nvars = draw(st.integers(2, 3))
+    seq = AutoSeq(nvars, draw(st.lists(flows(nvars), min_size=0, max_size=5)))
+    count = draw(st.integers(1, 6))
+    batch = np.array(
+        [[draw(small_complex) for _ in range(count)] for _ in range(nvars)], dtype=complex
+    )
+    return seq, batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences_and_batches())
+def test_single_point_is_a_column_of_the_batch(case):
+    # numpy may round a batch and a single column differently in the last
+    # ulp (vectorized complex loops), so agreement is to rounding level
+    seq, batch = case
+    for flow in (seq,) + seq.elements:
+        images = flow.apply_array(batch)
+        scale = 1e-13 * max(1.0, float(np.max(np.abs(images))))
+        for k in range(batch.shape[1]):
+            point = flow.apply(tuple(batch[:, k].tolist()))
+            assert type(point) is tuple and all(type(v) is complex for v in point)
+            assert np.max(np.abs(np.array(point) - images[:, k])) <= scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(polys(n), st.lists(st.tuples(*[small_complex] * n), min_size=1, max_size=6))
+))
+def test_poly_eval_complex_broadcasts_over_columns(case):
+    poly, points = case
+    values = np.broadcast_to(poly.eval_complex(np.array(points, dtype=complex).T), len(points))
+    for value, point in zip(values, points):
+        expected = poly.eval_complex(point)
+        assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+def _per_point_report_errors(build, reference, step_counts, nvars, radius, sample_count, seed):
+    """Reference model: one point at a time through the tuple interface."""
+    points = sample_ball(nvars, radius, sample_count, seed)
+    truths = [reference(z) for z in points]
+    errors = []
+    for m in step_counts:
+        seq = build(m)
+        worst = 0.0
+        for z, truth in zip(points, truths):
+            worst = max(worst, _distance(seq.apply(z), truth))
+        errors.append(worst)
+    return errors
+
+
+@pytest.mark.parametrize("scheme", ["symmetric", "plain"])
+@pytest.mark.parametrize("field_text", ["[0; x2^2]", "[x1*x2; x2^2]", "[x2; x1]"])
+def test_batched_convergence_matches_the_per_point_loop(field_text, scheme):
+    field = F(field_text)
+    prims = decompose_field(field)
+    total_time = 0.4
+
+    def build(m):
+        return trotter_compose(prims, 2, total_time, m, scheme)
+
+    def reference(z):
+        return integrate_flow(lambda _t: field, z, total_time)
+
+    args = ([4, 8, 16], 2, 0.5, 12, 7)
+    report = measure_convergence(build, reference, *args)
+    expected = _per_point_report_errors(build, reference, *args)
+    assert report.max_errors == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert report.order == pytest.approx(-fit_loglog_slope([4, 8, 16], expected), rel=1e-9)
+    assert (report.step_counts, report.radius, report.sample_count, report.seed) == (
+        (4, 8, 16), 0.5, 12, 7
+    )
