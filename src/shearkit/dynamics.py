@@ -559,8 +559,8 @@ def integrate_flow(
     """Classical fixed-step fourth-order integration with Richardson control.
 
     The step count doubles until two successive endpoint estimates agree
-    within tol; the finer answer is returned.  Independent of the
-    composition pipeline by construction.
+    within tol; the finer answer is returned, and a non-finite one (a pole;
+    NaN never agrees) at once.  Independent of the composition pipeline.
     """
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
@@ -579,15 +579,16 @@ def integrate_flow(
             t += h
         return z
 
-    steps = 32
-    previous = run(steps)
+    steps, estimate = 32, run(32)
     for _ in range(max_doublings):
+        if not np.all(np.isfinite(estimate)):
+            break
         steps *= 2
-        current = run(steps)
-        if float(np.max(np.abs(current - previous))) < tol:
-            return tuple(current)
-        previous = current
-    return tuple(previous)
+        finer = run(steps)
+        if float(np.max(np.abs(finer - estimate))) < tol:
+            return tuple(finer.tolist())
+        estimate = finer
+    return tuple(estimate.tolist())
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -750,6 +751,15 @@ def approximate_isotopy(
 # ---------------------------------------------------------------------------
 
 
+def _ramp(lo: float, hi: float, n: int, index):
+    """Value at an int or int-array index of n evenly spaced values from lo to hi
+    (lo if n <= 1); one expression for both, as np.linspace rounds differently."""
+    lo, hi = float(lo), float(hi)
+    if n <= 1:
+        return np.full(np.shape(index), lo) if isinstance(index, np.ndarray) else lo
+    return lo + (hi - lo) * index / (n - 1)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A two-real-parameter slice of complex n-space.
@@ -757,6 +767,7 @@ class GridSpec:
     Grid point (row, col) maps to origin + u*axis_u + v*axis_v with u
     running along columns and v along rows; axis vectors may be complex,
     so a complex coordinate line is the special case axis_v = i*axis_u.
+    `points` broadcasts `point` over the whole grid, bit for bit.
     """
 
     origin: tuple[complex, ...]
@@ -775,11 +786,11 @@ class GridSpec:
             raise PreconditionError("grid sizes must be non-negative")
 
     def parameter(self, row: int, col: int) -> tuple[float, float]:
-        u0, u1 = self.u_range
-        v0, v1 = self.v_range
-        u = u0 if self.nu <= 1 else u0 + (u1 - u0) * col / (self.nu - 1)
-        v = v0 if self.nv <= 1 else v0 + (v1 - v0) * row / (self.nv - 1)
-        return u, v
+        return _ramp(*self.u_range, self.nu, col), _ramp(*self.v_range, self.nv, row)
+
+    def parameters(self) -> tuple[np.ndarray, np.ndarray]:
+        """The u value of every column and the v value of every row."""
+        return self.parameter(np.arange(self.nv), np.arange(self.nu))
 
     def point(self, row: int, col: int) -> tuple[complex, ...]:
         u, v = self.parameter(row, col)
@@ -787,6 +798,13 @@ class GridSpec:
             o + u * a + v * b
             for o, a, b in zip(self.origin, self.axis_u, self.axis_v)
         )
+
+    def points(self) -> np.ndarray:
+        """All grid points as an (nvars, nv*nu) array; column row*nu + col is point(row, col)."""
+        u, v = self.parameters()
+        o, a, b = (np.array(x, dtype=complex).reshape(-1, 1, 1)
+                   for x in (self.origin, self.axis_u, self.axis_v))
+        return (o + u * a + v[:, None] * b).reshape(len(self.origin), self.nv * self.nu)
 
     @classmethod
     def real_plane(
@@ -840,50 +858,56 @@ class GridSpec:
 
 
 ATTRACTED, ESCAPED, UNDECIDED = "attracted", "escaped", "undecided"
-_CLASS_CODES = {ATTRACTED: 255, UNDECIDED: 128, ESCAPED: 0}
+# PGM grey level of each class, in the key order of `BasinResult.counts`
+_CLASS_CODES = {ATTRACTED: 255, ESCAPED: 0, UNDECIDED: 128}
+_CODE_LABELS = np.full(256, None, dtype=object)
+_CODE_LABELS[list(_CLASS_CODES.values())] = list(_CLASS_CODES)
 
 
-@dataclass
+@dataclass(eq=False)
 class BasinResult:
-    """Classification grid for iteration of an automorphism sequence."""
+    """Classification grid for iteration of an automorphism sequence.
+
+    `codes` (uint8 PGM grey levels), `iterations` and `overflowed` are (nv, nu)
+    arrays; `classes` decodes the codes, so classes[row][col] == "attracted".
+    """
 
     grid: GridSpec
     fixed_point: tuple[complex, ...]
-    classes: list[list[str]]
-    iterations: list[list[int]]
-    overflowed: list[list[bool]]
+    codes: np.ndarray
+    iterations: np.ndarray
+    overflowed: np.ndarray
     attract_radius: float
     escape_radius: float
     max_iter: int
     spectral_radius_estimate: float
     contraction_warning: bool
 
+    @property
+    def classes(self) -> np.ndarray:
+        return _CODE_LABELS[self.codes]
+
     def counts(self) -> dict[str, int]:
-        out = {ATTRACTED: 0, ESCAPED: 0, UNDECIDED: 0}
-        for row in self.classes:
-            for label in row:
-                out[label] += 1
-        return out
+        tally = np.bincount(self.codes.ravel(), minlength=256)
+        return {label: int(tally[code]) for label, code in _CLASS_CODES.items()}
 
     def write_csv(self, path) -> None:
+        u, v = self.grid.parameters()
+        heads = [f"{col},{x:.17g}," for col, x in enumerate(u.tolist())]
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("row,col,re,im,class,iters\n")
-            for row in range(self.grid.nv):
-                for col in range(self.grid.nu):
-                    u, v = self.grid.parameter(row, col)
-                    handle.write(
-                        f"{row},{col},{u:.17g},{v:.17g},"
-                        f"{self.classes[row][col]},{self.iterations[row][col]}\n"
-                    )
+            # one joined string per row keeps the peak memory flat
+            for row, tail in enumerate([f"{y:.17g}" for y in v.tolist()]):
+                labels, iters = _CODE_LABELS[self.codes[row]].tolist(), self.iterations[row].tolist()
+                handle.write("".join([
+                    f"{row},{head}{tail},{label},{n}\n"
+                    for head, label, n in zip(heads, labels, iters)
+                ]))
 
     def write_pgm(self, path) -> None:
         header = f"P5\n{self.grid.nu} {self.grid.nv}\n255\n".encode("ascii")
-        body = bytearray()
-        for row in range(self.grid.nv):
-            for col in range(self.grid.nu):
-                body.append(_CLASS_CODES[self.classes[row][col]])
         with open(path, "wb") as handle:
-            handle.write(header + bytes(body))
+            handle.write(header + self.codes.tobytes())
 
 
 def _estimate_spectral_radius(
@@ -912,7 +936,9 @@ def basin_sample(
     A point is Attracted once it enters the attract_radius ball around
     the fixed point, Escaped once it leaves the escape_radius ball or
     overflows (recorded with a flag), and Undecided at max_iter.  The
-    result is deterministic for a fixed grid and thresholds.
+    result is deterministic for a fixed grid and thresholds.  Each
+    iteration maps the still-active columns of `GridSpec.points` and
+    scatters the verdicts into the result arrays by fancy indexing.
     """
     fixed_point = tuple(complex(v) for v in fixed_point)
     if len(fixed_point) != seq.nvars:
@@ -933,48 +959,38 @@ def basin_sample(
             stacklevel=2,
         )
 
-    nv, nu = grid.nv, grid.nu
-    classes = [[UNDECIDED] * nu for _ in range(nv)]
-    iterations = [[max_iter] * nu for _ in range(nv)]
-    overflowed = [[False] * nu for _ in range(nv)]
-    total = nu * nv
-    if total:
-        points = np.empty((seq.nvars, total), dtype=complex)
-        for row in range(nv):
-            for col in range(nu):
-                points[:, row * nu + col] = grid.point(row, col)
-        fp = np.array(fixed_point, dtype=complex)[:, None]
-        active = np.arange(total)
-        current = points
-        for it in range(1, max_iter + 1):
-            if active.size == 0:
-                break
-            with np.errstate(over="ignore", invalid="ignore"):
-                current = seq.apply_array(current)
-            finite = np.all(np.isfinite(current), axis=0)
-            dist = np.full(current.shape[1], np.inf)
-            dist[finite] = np.sqrt(
-                np.sum(np.abs(current[:, finite] - fp) ** 2, axis=0)
-            )
-            attracted = finite & (dist <= attract_radius)
-            escaped = (~finite) | (dist >= escape_radius)
-            done = attracted | escaped
-            for local_idx in np.nonzero(done)[0]:
-                global_idx = int(active[local_idx])
-                row, col = divmod(global_idx, nu)
-                classes[row][col] = ATTRACTED if attracted[local_idx] else ESCAPED
-                iterations[row][col] = it
-                if not finite[local_idx]:
-                    overflowed[row][col] = True
-            keep = ~done
-            active = active[keep]
-            current = current[:, keep]
+    total = grid.nu * grid.nv
+    codes = np.full(total, _CLASS_CODES[UNDECIDED], dtype=np.uint8)
+    iterations = np.full(total, max_iter, dtype=np.int64)
+    overflowed = np.zeros(total, dtype=bool)
+    fp = np.array(fixed_point, dtype=complex)[:, None]
+    active = np.arange(total)
+    current = grid.points()
+    for it in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            current = seq.apply_array(current)
+            dist = np.sqrt(np.sum(np.abs(current - fp) ** 2, axis=0))
+        # a non-finite point escapes whatever its dist reads
+        finite = np.all(np.isfinite(current), axis=0)
+        attracted = finite & (dist <= attract_radius)
+        done = attracted | ~finite | (dist >= escape_radius)
+        finished = active.compress(done)
+        codes[finished] = np.where(
+            attracted.compress(done), _CLASS_CODES[ATTRACTED], _CLASS_CODES[ESCAPED]
+        )
+        iterations[finished] = it
+        overflowed[finished] = ~finite.compress(done)
+        # compress is several times faster than boolean-mask indexing here
+        keep = ~done
+        active, current = active.compress(keep), current.compress(keep, axis=1)
     return BasinResult(
         grid,
         fixed_point,
-        classes,
-        iterations,
-        overflowed,
+        codes.reshape(grid.nv, grid.nu),
+        iterations.reshape(grid.nv, grid.nu),
+        overflowed.reshape(grid.nv, grid.nu),
         attract_radius,
         escape_radius,
         max_iter,

@@ -338,10 +338,6 @@ class PolyMap:
     def eval_complex(self, point: Sequence[complex]) -> list[complex]:
         return [comp.eval_complex(point) for comp in self.components]
 
-    def apply_poly(self, f: Poly) -> Poly:
-        """Pullback f -> f o self."""
-        return f.substitute(self.components)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMap):
             return NotImplemented

@@ -114,9 +114,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grlex_key)
 
-    def leading_coefficient(self) -> Scalar:
-        return self.terms[self.leading_monomial()]
-
     def coefficient(self, exponents: Sequence[int]) -> Scalar:
         return self.terms.get(tuple(exponents), Scalar.exact(0))
 

@@ -139,20 +139,11 @@ class Scalar:
             out = out * base
         return out
 
-    def conjugate(self) -> "Scalar":
-        return _raw(self.a, -self.b, self.d)
-
     def one_like(self) -> "Scalar":
         return ONE
 
-    def zero_like(self) -> "Scalar":
-        return ZERO
-
     def is_zero(self) -> bool:
         return not (self.a or self.b)
-
-    def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0 and self.d == 1
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)

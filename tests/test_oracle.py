@@ -1,0 +1,32 @@
+"""The Runge-Kutta oracle stops on a non-finite estimate."""
+
+import numpy as np
+
+from shearkit.dynamics import integrate_flow
+from shearkit.fields import parse_vector_field
+
+
+def test_integrate_flow_stops_at_a_pole():
+    # x2' = x2^2 from x2 = 3 meets its pole at t = 1/3 < 0.5, so every
+    # estimate is non-finite; NaN never agrees within tol, and doubling on
+    # would cost twice the previous run each time
+    field = parse_vector_field("[0; x2^2]", 2)
+    calls = 0
+
+    def field_at(_t):
+        nonlocal calls
+        calls += 1
+        return field
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = integrate_flow(field_at, (0, 3), 0.5)
+    assert calls <= (32 + 64) * 4
+    assert not all(np.isfinite(end))
+    assert all(type(v) is complex for v in end)
+
+
+def test_integrate_flow_returns_python_complex():
+    field = parse_vector_field("[1; x1]", 2)
+    end = integrate_flow(lambda _t: field, (0, 0), 1.0)
+    assert all(type(v) is complex for v in end)
+    assert abs(end[0] - 1) < 1e-12 and abs(end[1] - 0.5) < 1e-12
