@@ -18,7 +18,9 @@ samples its basin, a Fatou-Bieberbach style domain.
 Every elementary flow has one numeric body, `apply_array`, on an
 (nvars, k) complex array of k points; `apply` evaluates one point as a
 one-column batch, so single points and batches share their arithmetic.
-`apply_exact` is the separate exact-Scalar regime for shears.
+`apply_exact` is the separate exact-Scalar regime for shears.  The
+Runge-Kutta oracle `integrate_flow` is batched the same way, with step
+control per point.
 """
 
 from __future__ import annotations
@@ -551,23 +553,37 @@ def sample_ball(nvars: int, radius: float, count: int, seed: int = DEFAULT_SEED)
 
 def integrate_flow(
     field_at: Callable[[float], VectorField],
-    start: Sequence[complex],
+    start: Sequence[complex] | np.ndarray,
     total_time: float,
     tol: float = 1e-10,
     max_doublings: int = 16,
-) -> tuple[complex, ...]:
+) -> tuple[complex, ...] | np.ndarray:
     """Classical fixed-step fourth-order integration with Richardson control.
 
-    The step count doubles until two successive endpoint estimates agree
-    within tol; the finer answer is returned, and a non-finite one (a pole;
-    NaN never agrees) at once.  Independent of the composition pipeline.
+    `start` is an (nvars, k) complex array of k start points, and the
+    value is the (nvars, k) array of their endpoints.  Every point runs
+    at 32 steps first; each doubling reruns, from their start points,
+    only the points still refining, and a point keeps its finer estimate
+    as soon as two successive ones agree within tol.  A point whose
+    estimate is non-finite (a pole; NaN never agrees) keeps it at once,
+    and one that never agrees keeps its last estimate.  So each point
+    gets the step schedule and the value it would get alone.  A flat
+    `start` such as a tuple is one point, evaluated as a one-column
+    batch, and gives a tuple of complex.  Independent of the composition pipeline.
     """
+    single = np.ndim(start) == 1
+    starts = np.array(start, dtype=complex)
+    if single:
+        starts = starts.reshape(-1, 1)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        return np.array(field_at(t).eval_complex(tuple(z)), dtype=complex)
+        out = np.empty_like(z)
+        # a constant component evaluates to a scalar, which broadcasts
+        for i, value in enumerate(field_at(t).eval_complex(z)):
+            out[i] = value
+        return out
 
-    def run(steps: int) -> np.ndarray:
-        z = np.array(start, dtype=complex)
+    def run(steps: int, z: np.ndarray) -> np.ndarray:
         h = total_time / steps
         t = 0.0
         for _ in range(steps):
@@ -579,16 +595,18 @@ def integrate_flow(
             t += h
         return z
 
-    steps, estimate = 32, run(32)
+    steps, estimate = 32, run(32, starts)
+    active = np.arange(starts.shape[1])
     for _ in range(max_doublings):
-        if not np.all(np.isfinite(estimate)):
+        active = active[np.all(np.isfinite(estimate[:, active]), axis=0)]
+        if not active.size:
             break
         steps *= 2
-        finer = run(steps)
-        if float(np.max(np.abs(finer - estimate))) < tol:
-            return tuple(finer.tolist())
-        estimate = finer
-    return tuple(estimate.tolist())
+        finer = run(steps, starts[:, active])
+        agreed = np.max(np.abs(finer - estimate[:, active]), axis=0) < tol
+        estimate[:, active] = finer
+        active = active[~agreed]
+    return tuple(estimate[:, 0].tolist()) if single else estimate
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -633,6 +651,12 @@ class ConvergenceReport:
         }
 
 
+def _sample_batch(nvars: int, radius: float, sample_count: int, seed: int) -> np.ndarray:
+    """`sample_ball` as an (nvars, sample_count) array, one point per column."""
+    points = sample_ball(nvars, radius, sample_count, seed)
+    return np.array(points, dtype=complex).reshape(-1, nvars).T
+
+
 def measure_convergence(
     build: Callable[[int], AutoSeq],
     reference: Callable[[tuple[complex, ...]], tuple[complex, ...]],
@@ -643,11 +667,25 @@ def measure_convergence(
     seed: int = DEFAULT_SEED,
 ) -> ConvergenceReport:
     """Max-error report for a family of approximants against a reference map."""
-    points = sample_ball(nvars, radius, sample_count, seed)
-    batch = np.array(points, dtype=complex).reshape(-1, nvars).T
+    batch = _sample_batch(nvars, radius, sample_count, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        truths = np.array(
+            [reference(tuple(z)) for z in batch.T.tolist()], dtype=complex
+        ).reshape(-1, nvars).T
+    return _report_against(build, batch, truths, step_counts, radius, seed)
+
+
+def _report_against(
+    build: Callable[[int], AutoSeq],
+    batch: np.ndarray,
+    truths: np.ndarray,
+    step_counts: Sequence[int],
+    radius: float,
+    seed: int,
+) -> ConvergenceReport:
+    """Max errors of each approximant on the sample batch against its truths."""
     errors = []
     with np.errstate(over="ignore", invalid="ignore"):
-        truths = np.array([reference(z) for z in points], dtype=complex).reshape(-1, nvars).T
         for m in step_counts:
             dist = np.sqrt(np.sum(np.abs(build(m).apply_array(batch) - truths) ** 2, axis=0))
             errors.append(float(np.max(dist, initial=0.0)))
@@ -657,7 +695,7 @@ def measure_convergence(
         )
     order = -fit_loglog_slope(list(step_counts), errors)
     return ConvergenceReport(
-        tuple(step_counts), tuple(errors), order, radius, sample_count, seed
+        tuple(step_counts), tuple(errors), order, radius, batch.shape[1], seed
     )
 
 
@@ -725,24 +763,17 @@ def approximate_isotopy(
             seq = seq.then(trotter_compose(primitives, nvars, dt_slice, m, scheme))
         return seq
 
-    if table is not None:
-        # a table means piecewise-constant data; integrate slice by slice
-        # so the oracle never steps across a discontinuity
-        def reference(z: tuple[complex, ...]) -> tuple[complex, ...]:
-            current = z
+    batch = _sample_batch(nvars, radius, sample_count, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if table is not None:
+            # a table means piecewise-constant data; integrate slice by slice
+            # so the oracle never steps across a discontinuity
+            truths = batch
             for slice_field in table:
-                current = integrate_flow(
-                    lambda _t, f=slice_field: f, current, dt_slice
-                )
-            return current
-
-    else:
-        def reference(z: tuple[complex, ...]) -> tuple[complex, ...]:
-            return integrate_flow(field_fn, z, total_time)
-
-    report = measure_convergence(
-        build, reference, substep_counts, nvars, radius, sample_count, seed
-    )
+                truths = integrate_flow(lambda _t, f=slice_field: f, truths, dt_slice)
+        else:
+            truths = integrate_flow(field_fn, batch, total_time)
+    report = _report_against(build, batch, truths, substep_counts, radius, seed)
     return build(max(substep_counts)), report
 
 

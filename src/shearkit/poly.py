@@ -222,7 +222,9 @@ class Poly:
         """Numeric evaluation; exact coefficients are converted on the fly.
 
         `point` may also be an (nvars, k) numpy array of k points: the loop
-        runs over its rows, so the value is an array of k values.
+        runs over its rows, so the value is an array of k values.  A
+        constant polynomial (zero included) never touches the rows and
+        returns one complex scalar instead, which broadcasts against them.
         """
         if len(point) != self.nvars:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
