@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .errors import ArityMismatch, PreconditionError, ShearKitError
@@ -503,6 +504,28 @@ def _field_coords(field: VectorField, basis: MonomialBasis) -> dict[int, Scalar]
     }
 
 
+def _weight(field: VectorField) -> tuple[int, ...] | None:
+    """The weight a - e_i shared by every term x^a d/dx_i, or None if they differ."""
+    weight = None
+    for i, comp in enumerate(field.components):
+        for exp in comp.terms:
+            term_weight = list(exp)
+            term_weight[i] -= 1
+            term_weight = tuple(term_weight)
+            if weight is None:
+                weight = term_weight
+            elif term_weight != weight:
+                return None
+    return weight
+
+
+def _weight_space_dimension(weight: tuple[int, ...]) -> int:
+    """Dimension of the fields of this weight: the number of i with weight + e_i >= 0."""
+    return sum(
+        all(w + (k == i) >= 0 for k, w in enumerate(weight)) for i in range(len(weight))
+    )
+
+
 def lie_closure(
     generators: Sequence[VectorField],
     degree_cap: int,
@@ -515,6 +538,19 @@ def lie_closure(
     (counted in the certificate), so failure to establish a target is
     uninformative.  Every basis element and every established target
     records an exact combination over the generators.
+
+    Fields are graded by weight: x^a d/dx_i has weight a - e_i, and the
+    bracket of fields of weights u and v has weight u + v.  The fields of
+    weight w are spanned by the x^(w + e_i) d/dx_i with w + e_i >= 0, so
+    that space has dimension #{i : w + e_i >= 0}.  When every nonzero
+    generator is weight-homogeneous, every basis element is too, and a
+    pair that passes the depth and degree filters is skipped without
+    computing its bracket once the span already holds as many basis
+    elements of weight u + v as that dimension.  Such a bracket is zero or
+    dependent, so it would add no record, and the skip comes after the
+    filters that count `discarded_brackets`: the certificate is the same
+    with and without it.  A family with a non-homogeneous generator, such
+    as x2 - x3^2, brackets every pair.
     """
     generators = list(generators)
     if not generators:
@@ -534,7 +570,19 @@ def lie_closure(
     records: list[BasisRecord] = []
     discarded = 0
 
-    def insert(raw: VectorField, kind: str, left: int, right: int | None, depth: int) -> bool:
+    # When graded, every row is homogeneous (a reduction only subtracts rows
+    # whose pivot has the work vector's weight), so rows_of_weight[w] is the
+    # dimension of the span's piece of weight w.
+    gen_weights = {
+        k: _weight(gen) for k, gen in enumerate(generators) if not gen.is_zero()
+    }
+    graded = None not in gen_weights.values()
+    weights: list[tuple[int, ...]] = []  # fields[k]'s weight, when graded
+    rows_of_weight: dict[tuple[int, ...], int] = {}
+    weight_dims: dict[tuple[int, ...], int] = {}
+
+    def insert(raw: VectorField, kind: str, left: int, right: int | None, depth: int,
+               weight: tuple[int, ...] | None) -> bool:
         row = span.insert(_field_coords(raw, basis), source=(kind, left, right))
         if row is None:
             return False
@@ -546,12 +594,13 @@ def lie_closure(
         fields.append(combined)
         degrees.append(combined.degree)
         records.append(BasisRecord(kind, left, right, scale, corrections, depth))
+        if graded:
+            weights.append(weight)
+            rows_of_weight[weight] = rows_of_weight.get(weight, 0) + 1
         return True
 
-    for k, gen in enumerate(generators):
-        if gen.is_zero():
-            continue
-        insert(gen, "generator", k, None, 0)
+    for k, weight in gen_weights.items():
+        insert(generators[k], "generator", k, None, 0, weight)
 
     frontier = list(range(len(fields)))
     while frontier:
@@ -559,6 +608,7 @@ def lie_closure(
         for j in frontier:
             depth_j = records[j].depth
             deg_j = degrees[j]
+            weight_j = weights[j] if graded else None
             for i in range(j):
                 depth = max(records[i].depth, depth_j) + 1
                 if depth > depth_cap:
@@ -566,13 +616,23 @@ def lie_closure(
                 if degrees[i] + deg_j - 1 > degree_cap:
                     discarded += 1
                     continue
+                weight = None
+                if graded:
+                    # [V_a, V_b] lies in V_{a+b}: when the span already holds
+                    # that whole weight space, the bracket is zero or dependent
+                    weight = tuple(map(add, weights[i], weight_j))
+                    dim = weight_dims.get(weight)
+                    if dim is None:
+                        dim = weight_dims[weight] = _weight_space_dimension(weight)
+                    if rows_of_weight.get(weight, 0) == dim:
+                        continue
                 bracket = fields[i].bracket(fields[j])
                 if bracket.is_zero():
                     continue
                 if bracket.degree > degree_cap:
                     discarded += 1
                     continue
-                insert(bracket, "bracket", i, j, depth)
+                insert(bracket, "bracket", i, j, depth, weight)
         frontier = list(range(round_start, len(fields)))
 
     depth_reached = max((rec.depth for rec in records), default=0)

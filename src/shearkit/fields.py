@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import Sequence
 
 from .errors import ArityMismatch, ParseError, PreconditionError, RegimeMismatch
@@ -102,12 +103,42 @@ class VectorField:
         return total
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [self, other], componentwise self(W_k) - other(V_k)."""
+        """Lie bracket [self, other], componentwise self(W_k) - other(V_k).
+
+        Accumulates [V, W]_k = sum_j V_j dW_k/dx_j - W_j dV_k/dx_j term by
+        term into one exponent -> coefficient dict per component, with no
+        intermediate polynomial.  The arithmetic is exact, so the result
+        does not depend on the order in which terms are summed.
+        """
         self._check_arity(other)
-        comps = [
-            self.apply(other.components[k]) - other.apply(self.components[k])
-            for k in range(self.nvars)
-        ]
+        n = self.nvars
+        sums: list[dict[tuple[int, ...], Scalar]] = [{} for _ in range(n)]
+        for a, b, sign in ((self.components, other.components, 1),
+                           (other.components, self.components, -1)):
+            # sign * a_j * d(b_k)/dx_j, for every j and k
+            for j, a_j in enumerate(a):
+                a_terms = a_j.terms
+                if not a_terms:
+                    continue
+                for b_k, acc in zip(b, sums):
+                    for exp, coeff in b_k.terms.items():
+                        power = exp[j]
+                        if not power:
+                            continue
+                        lowered = list(exp)
+                        lowered[j] = power - 1
+                        factor = coeff * (sign * power)
+                        for a_exp, a_coeff in a_terms.items():
+                            key = tuple(map(add, a_exp, lowered))
+                            term = a_coeff * factor
+                            cur = acc.get(key)
+                            acc[key] = term if cur is None else cur + term
+        comps = []
+        for acc in sums:
+            comp = Poly.__new__(Poly)
+            comp.nvars = n
+            comp.terms = {exp: coeff for exp, coeff in acc.items() if coeff}
+            comps.append(comp)
         return VectorField(comps)
 
     def __add__(self, other: "VectorField") -> "VectorField":

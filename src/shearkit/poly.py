@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ArityMismatch, ParseError
+from .errors import ArityMismatch, ParseError, PreconditionError
 from .scalars import Scalar
 
 __all__ = [
@@ -39,7 +39,13 @@ __all__ = [
     "parse_scalar",
     "format_poly",
     "format_scalar",
+    "MAX_BASIS_SIZE",
 ]
+
+# Largest monomial basis MonomialBasis enumerates.  Every certificate in the
+# tests, the benchmark pools and the README uses at most a few hundred
+# exponents; a basis this large already makes a closure run for hours.
+MAX_BASIS_SIZE = 100_000
 
 
 def grlex_key(exponents: tuple[int, ...]):
@@ -299,11 +305,17 @@ class MonomialBasis:
             raise ValueError("MonomialBasis needs at least one variable")
         if degree < 0:
             raise ValueError("degree bound must be non-negative")
+        size = math.comb(nvars + degree, nvars)
+        if size > MAX_BASIS_SIZE:
+            raise PreconditionError(
+                f"degree bound {degree} in {nvars} variables needs more than "
+                f"{MAX_BASIS_SIZE} monomials"
+            )
         self.nvars = nvars
         self.degree = degree
         self.exponents = tuple(sorted(_exponents_up_to(nvars, degree), key=grlex_key))
         self._index = {exp: i for i, exp in enumerate(self.exponents)}
-        assert len(self.exponents) == math.comb(nvars + degree, degree)
+        assert len(self.exponents) == size
 
     def __len__(self) -> int:
         return len(self.exponents)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -275,3 +276,32 @@ def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--generators", "{gens}", "-D", "1000000"],
+        ["closure", "--generators", "{gens}", "--monomial-targets", "1000000", "-D", "2"],
+        ["closure", "--shear-family", "1000000", "-D", "1000000"],
+        ["codim2", "--gens", "x1", "x2", "-n", "3", "-d", "1000000"],
+        ["compat", "--d1", "[1;0;0]", "--d2", "[0;0;1]", "-d", "1000000"],
+    ],
+    ids=["closure-cap", "closure-targets", "closure-shear-family", "codim2", "compat"],
+)
+def test_oversized_monomial_basis_is_refused_before_allocation(tmp_path, capsys, argv):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("[1; 0; 0]\n[0; x1; 0]\n[0; 0; x2]\n")
+    argv = [part.replace("{gens}", str(gens)) for part in argv]
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "monomials" in lines[0]
+    # the basis would hold at least 5 * 10**11 exponent tuples
+    assert peak < 2_000_000

@@ -3,8 +3,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shearkit.density import (
+    BasisRecord,
+    LieClosureCertificate,
+    TargetRecord,
     check_compatibility,
     closure_from_json_dict,
     determinant_poly,
@@ -23,8 +27,9 @@ from shearkit.density import (
     verify_shear_identity,
 )
 from shearkit.errors import PreconditionError
+from shearkit.linalg import TrackedSpan
 from shearkit.fields import VectorField, parse_vector_field
-from shearkit.poly import Poly, parse_poly
+from shearkit.poly import MonomialBasis, Poly, parse_poly
 from shearkit.scalars import Scalar
 
 from conftest import random_exact_poly
@@ -227,6 +232,193 @@ class TestLieClosure:
         cert = lie_closure([F("[1; 0]")], 1, targets=[F("[x1^5; 0]")])
         assert not cert.targets[0].established
         assert cert.targets[0].reason == "target degree exceeds the cap"
+
+
+# ---------------------------------------------------------------------------
+# lie_closure against a plain reference loop
+# ---------------------------------------------------------------------------
+
+
+def _bracket_by_definition(v, w):
+    return VectorField(
+        [v.apply(w_k) - w.apply(v_k) for v_k, w_k in zip(v.components, w.components)]
+    )
+
+
+def _reference_closure(generators, degree_cap, depth_cap, targets):
+    """Every pair after the depth and degree filters, brackets from the definition."""
+    nvars = generators[0].nvars
+    basis = MonomialBasis(nvars, degree_cap)
+
+    def coords(field):
+        return {
+            i * len(basis) + k: c
+            for i, comp in enumerate(field.components)
+            for k, c in basis.coords(comp).items()
+        }
+
+    span = TrackedSpan()
+    fields, records = [], []
+    discarded = 0
+
+    def insert(raw, kind, left, right, depth):
+        row = span.insert(coords(raw), source=(kind, left, right))
+        if row is None:
+            return
+        scale, corrections = span.scales[row], tuple(span.corrections[row])
+        combined = raw.scale(scale)
+        for coeff, idx in corrections:
+            combined = combined + fields[idx].scale(coeff)
+        fields.append(combined)
+        records.append(BasisRecord(kind, left, right, scale, corrections, depth))
+
+    for k, gen in enumerate(generators):
+        if not gen.is_zero():
+            insert(gen, "generator", k, None, 0)
+    frontier = list(range(len(fields)))
+    while frontier:
+        round_start = len(fields)
+        for j in frontier:
+            for i in range(j):
+                depth = max(records[i].depth, records[j].depth) + 1
+                if depth > depth_cap:
+                    continue
+                if fields[i].degree + fields[j].degree - 1 > degree_cap:
+                    discarded += 1
+                    continue
+                bracket = _bracket_by_definition(fields[i], fields[j])
+                if bracket.is_zero():
+                    continue
+                if bracket.degree > degree_cap:
+                    discarded += 1
+                    continue
+                insert(bracket, "bracket", i, j, depth)
+        frontier = list(range(round_start, len(fields)))
+
+    target_records = []
+    for target in targets:
+        if target.degree > degree_cap:
+            target_records.append(
+                TargetRecord(target, False, None, "target degree exceeds the cap")
+            )
+            continue
+        remainder, combo = span.reduce(coords(target))
+        if remainder:
+            target_records.append(TargetRecord(target, False, None, "not in the truncated span"))
+        else:
+            target_records.append(TargetRecord(target, True, tuple(combo)))
+    return LieClosureCertificate(
+        nvars, degree_cap, depth_cap, list(generators), records, target_records,
+        len(fields), max((rec.depth for rec in records), default=0), discarded,
+    )
+
+
+def _assert_closure_matches_reference(generators, degree_cap, depth_cap, targets):
+    cert = lie_closure(generators, degree_cap, depth_cap, targets)
+    expected = _reference_closure(generators, degree_cap, depth_cap, targets)
+    assert cert.to_json_dict() == expected.to_json_dict()
+    assert replay_closure(cert)
+    return cert
+
+
+closure_gaussian = st.builds(
+    lambda a, b, d: Scalar.exact(Fraction(a, d), Fraction(b, d)),
+    st.integers(-2, 2),
+    st.integers(-1, 1),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def _exponent(draw, nvars, degree):
+    """An exponent vector of total degree <= degree."""
+    exp = []
+    for _ in range(nvars):
+        exp.append(draw(st.integers(0, degree - sum(exp))))
+    return draw(st.permutations(exp))
+
+
+@st.composite
+def homogeneous_families(draw):
+    """Random monomial fields and same-weight sums; all weight-homogeneous."""
+    nvars = draw(st.integers(1, 3))
+    degree_cap = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        exp = tuple(draw(_exponent(nvars, degree_cap)))
+        index = draw(st.integers(0, nvars - 1))
+        weight = [e - (k == index) for k, e in enumerate(exp)]
+        comps = [Poly.zero(nvars)] * nvars
+        if draw(st.booleans()):
+            comps[index] = Poly.monomial(nvars, exp, draw(closure_gaussian))
+        else:
+            # every x^(w + e_k) d/dx_k of the same weight w, with random coefficients
+            for k in range(nvars):
+                shifted = [w + (j == k) for j, w in enumerate(weight)]
+                if min(shifted) >= 0:
+                    comps[k] = Poly.monomial(nvars, shifted, draw(closure_gaussian))
+        gens.append(VectorField(comps))
+    return gens, degree_cap, draw(st.integers(1, 4))
+
+
+@st.composite
+def inhomogeneous_families(draw):
+    """Random fields whose terms mostly have different weights."""
+    nvars = draw(st.integers(1, 3))
+    degree_cap = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        comps = []
+        for _ in range(nvars):
+            terms = {
+                tuple(draw(_exponent(nvars, degree_cap))): draw(closure_gaussian)
+                for _ in range(draw(st.integers(0, 2)))
+            }
+            comps.append(Poly(nvars, terms))
+        gens.append(VectorField(comps))
+    return gens, degree_cap, draw(st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(homogeneous_families())
+@example(([F("[x2^2; 0]"), F("[0; x1]")], 3, 6))
+@example((shear_generator_family(3, 2), 3, 6))
+@example((shear_generator_family(2, 3), 2, 6))
+@example(([F("[x2; 0]"), F("[0; x1]"), F("[x1; -x2]")], 2, 4))
+def test_closure_matches_reference_on_homogeneous_families(family):
+    gens, degree_cap, depth_cap = family
+    _assert_closure_matches_reference(
+        gens, degree_cap, depth_cap, monomial_field_targets(gens[0].nvars, degree_cap)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(inhomogeneous_families())
+@example(([F("[1; 0; 0]"), F("[0; x1 - x3^2; 0]")], 2, 3))
+def test_closure_matches_reference_on_inhomogeneous_families(family):
+    gens, degree_cap, depth_cap = family
+    _assert_closure_matches_reference(
+        gens, degree_cap, depth_cap, monomial_field_targets(gens[0].nvars, degree_cap)
+    )
+
+
+@pytest.mark.parametrize(
+    "generators, degree_cap",
+    [
+        # not weight-homogeneous: x2 - x3^2 mixes the weights of x2 and x3^2
+        (["[x2 - x3^2; 0; 0]", "[0; x3^2; 0]", "[0; 0; x1*x2]", "[x3; 0; 1]"], 3),
+        # homogeneous; [x3^3 d1, x3^3 d2] has weight (-1, -1, 6), a space of
+        # dimension 0 beyond the cap, so it must be discarded, not skipped
+        (["[x3^3; 0; 0]", "[0; x3^3; 0]", "[x1; 0; 0]", "[0; 0; x1*x2]"], 4),
+    ],
+    ids=["inhomogeneous", "homogeneous"],
+)
+def test_closure_matches_reference_when_the_cap_discards(generators, degree_cap):
+    gens = [parse_vector_field(text) for text in generators]
+    cert = _assert_closure_matches_reference(
+        gens, degree_cap, 3, monomial_field_targets(gens[0].nvars, degree_cap)
+    )
+    assert cert.discarded_brackets > 0
 
 
 class TestOrbitSpan:

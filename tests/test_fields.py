@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shearkit.errors import PreconditionError
 from shearkit.fields import (
     NilpotencyVerdict,
     PolyMap,
+    VectorField,
     annihilation_order,
     flow_nilpotent,
     flow_semisimple,
@@ -320,3 +322,63 @@ def test_field_text_round_trip(rng):
 
 def test_lie_bracket_function_alias():
     assert lie_bracket(F("[x2; 0]"), F("[0; x1]")) == F("[-x1; x2]")
+
+
+# ---------------------------------------------------------------------------
+# The bracket kernel against the definition
+# ---------------------------------------------------------------------------
+
+
+def _bracket_by_definition(v, w):
+    """[V, W]_k = V(W_k) - W(V_k), through the derivation action."""
+    return VectorField(
+        [v.apply(w_k) - w.apply(v_k) for v_k, w_k in zip(v.components, w.components)]
+    )
+
+
+gaussian = st.builds(
+    lambda a, b, d: Scalar.exact(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(1, 4),
+)
+
+
+def _fields(nvars):
+    poly = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * nvars), gaussian, max_size=4
+    ).map(lambda terms: Poly(nvars, terms))
+    return st.lists(poly, min_size=nvars, max_size=nvars).map(VectorField)
+
+
+@st.composite
+def field_pairs(draw):
+    """(v, w) in 1-3 variables; w is often v, -v or zero, where terms cancel."""
+    nvars = draw(st.integers(1, 3))
+    v = draw(_fields(nvars))
+    kind = draw(st.sampled_from(["other", "same", "negated", "zero", "zero-first"]))
+    if kind == "other":
+        return v, draw(_fields(nvars))
+    if kind == "same":
+        return v, v
+    if kind == "negated":
+        return v, -v
+    if kind == "zero":
+        return v, VectorField.zero(nvars)
+    return VectorField.zero(nvars), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_pairs())
+@example((F("[x2; 0]"), F("[0; x1]")))
+@example((F("[x1^2; x1*x2]"), F("[x1^2; x1*x2]")))
+@example((F("[(1+i)*x1*x2; -x2^2]"), F("[(-1-i)*x1*x2; x2^2]")))
+@example((F("[x1]"), F("[0]")))
+def test_bracket_kernel_matches_the_definition(pair):
+    v, w = pair
+    bracket = v.bracket(w)
+    assert bracket == _bracket_by_definition(v, w)
+    assert bracket.nvars == v.nvars
+    for comp in bracket.components:
+        assert comp.nvars == v.nvars
+        assert all(not coeff.is_zero() for coeff in comp.terms.values())
