@@ -602,20 +602,19 @@ def lie_closure(
     for k, weight in gen_weights.items():
         insert(generators[k], "generator", k, None, 0, weight)
 
+    # Round r brackets each row of depth r - 1 (the frontier) with every
+    # earlier row; no earlier row is deeper, so every bracket has depth r.
     frontier = list(range(len(fields)))
-    while frontier:
+    depth = 1
+    while frontier and depth <= depth_cap:
         round_start = len(fields)
         for j in frontier:
-            depth_j = records[j].depth
-            deg_j = degrees[j]
+            # a bracket's degree is at most the sum of its factors' degrees minus one
+            room = degree_cap + 1 - degrees[j]
             weight_j = weights[j] if graded else None
-            for i in range(j):
-                depth = max(records[i].depth, depth_j) + 1
-                if depth > depth_cap:
-                    continue
-                if degrees[i] + deg_j - 1 > degree_cap:
-                    discarded += 1
-                    continue
+            near = [i for i in range(j) if degrees[i] <= room]
+            discarded += j - len(near)
+            for i in near:
                 weight = None
                 if graded:
                     # [V_a, V_b] lies in V_{a+b}: when the span already holds
@@ -629,11 +628,13 @@ def lie_closure(
                 bracket = fields[i].bracket(fields[j])
                 if bracket.is_zero():
                     continue
-                if bracket.degree > degree_cap:
+                # a homogeneous bracket has degree deg_i + deg_j - 1, bounded above
+                if not graded and bracket.degree > degree_cap:
                     discarded += 1
                     continue
                 insert(bracket, "bracket", i, j, depth, weight)
         frontier = list(range(round_start, len(fields)))
+        depth += 1
 
     depth_reached = max((rec.depth for rec in records), default=0)
 
