@@ -824,9 +824,11 @@ class GridSpec:
         return self.parameter(np.arange(self.nv), np.arange(self.nu))
 
     def point(self, row: int, col: int) -> tuple[complex, ...]:
+        # the real parameters scale each part on its own: a complex product
+        # would round signed zeros one way in Python and another in numpy
         u, v = self.parameter(row, col)
         return tuple(
-            o + u * a + v * b
+            complex(o.real + u * a.real + v * b.real, o.imag + u * a.imag + v * b.imag)
             for o, a, b in zip(self.origin, self.axis_u, self.axis_v)
         )
 
@@ -835,7 +837,10 @@ class GridSpec:
         u, v = self.parameters()
         o, a, b = (np.array(x, dtype=complex).reshape(-1, 1, 1)
                    for x in (self.origin, self.axis_u, self.axis_v))
-        return (o + u * a + v[:, None] * b).reshape(len(self.origin), self.nv * self.nu)
+        out = np.empty((len(self.origin), self.nv, self.nu), dtype=complex)
+        np.add(o.real + u * a.real, v[:, None] * b.real, out=out.real)
+        np.add(o.imag + u * a.imag, v[:, None] * b.imag, out=out.imag)
+        return out.reshape(len(self.origin), self.nv * self.nu)
 
     @classmethod
     def real_plane(
