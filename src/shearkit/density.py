@@ -539,18 +539,16 @@ def lie_closure(
     uninformative.  Every basis element and every established target
     records an exact combination over the generators.
 
-    Fields are graded by weight: x^a d/dx_i has weight a - e_i, and the
-    bracket of fields of weights u and v has weight u + v.  The fields of
-    weight w are spanned by the x^(w + e_i) d/dx_i with w + e_i >= 0, so
-    that space has dimension #{i : w + e_i >= 0}.  When every nonzero
-    generator is weight-homogeneous, every basis element is too, and a
-    pair that passes the depth and degree filters is skipped without
-    computing its bracket once the span already holds as many basis
-    elements of weight u + v as that dimension.  Such a bracket is zero or
-    dependent, so it would add no record, and the skip comes after the
-    filters that count `discarded_brackets`: the certificate is the same
-    with and without it.  A family with a non-homogeneous generator, such
-    as x2 - x3^2, brackets every pair.
+    Fields are graded by weight: x^a d/dx_i has weight a - e_i, brackets
+    add weights, and the fields of weight w span a space of dimension
+    #{i : w + e_i >= 0}.  When every nonzero generator is
+    weight-homogeneous, so is every basis element, and a pair that passes
+    the depth and degree filters is skipped, unbracketed, once the span
+    holds that many basis elements of the pair's summed weight.  Such a
+    bracket is zero or dependent and would add no record, and the skip
+    comes after the filters that count `discarded_brackets`, so the
+    certificate is the same with or without it.  A family with a
+    non-homogeneous generator, such as x2 - x3^2, brackets every pair.
     """
     generators = list(generators)
     if not generators:
@@ -628,7 +626,7 @@ def lie_closure(
                 bracket = fields[i].bracket(fields[j])
                 if bracket.is_zero():
                     continue
-                # a homogeneous bracket has degree deg_i + deg_j - 1, bounded above
+                # a homogeneous bracket has degree deg_i + deg_j - 1, which passed `room`
                 if not graded and bracket.degree > degree_cap:
                     discarded += 1
                     continue

@@ -43,8 +43,9 @@ __all__ = [
 ]
 
 # Largest monomial basis MonomialBasis enumerates.  Every certificate in the
-# tests, the benchmark pools and the README uses at most a few hundred
-# exponents; a basis this large already makes a closure run for hours.
+# tests, the benchmark pools and the README uses at most 165 exponents; the
+# bound turns an oversized degree into a usage error instead of an unbounded
+# allocation.
 MAX_BASIS_SIZE = 100_000
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from shearkit.poly import Poly
 from shearkit.fields import VectorField
@@ -15,6 +16,15 @@ from shearkit.scalars import Scalar
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+# small Gaussian rationals (a + b i)/d, zero included
+gaussian_rationals = st.builds(
+    lambda a, b, d: Scalar.exact(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(1, 4),
+)
 
 
 def random_exact_scalar(rng, imaginary=True, nonzero=False):
@@ -81,3 +91,10 @@ def numeric_bracket(v, w, point, h=1e-6):
     dw_v = jacobian_times(w, vz, point)
     dv_w = jacobian_times(v, wz, point)
     return [a - b for a, b in zip(dw_v, dv_w)]
+
+
+def bracket_by_definition(v, w):
+    """[V, W]_k = V(W_k) - W(V_k), through the derivation action."""
+    return VectorField(
+        [v.apply(w_k) - w.apply(v_k) for v_k, w_k in zip(v.components, w.components)]
+    )

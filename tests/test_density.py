@@ -27,12 +27,12 @@ from shearkit.density import (
     verify_shear_identity,
 )
 from shearkit.errors import PreconditionError
-from shearkit.linalg import TrackedSpan
 from shearkit.fields import VectorField, parse_vector_field
+from shearkit.linalg import TrackedSpan
 from shearkit.poly import MonomialBasis, Poly, parse_poly
 from shearkit.scalars import Scalar
 
-from conftest import random_exact_poly
+from conftest import bracket_by_definition, gaussian_rationals, random_exact_poly
 
 
 def F(text):
@@ -239,12 +239,6 @@ class TestLieClosure:
 # ---------------------------------------------------------------------------
 
 
-def _bracket_by_definition(v, w):
-    return VectorField(
-        [v.apply(w_k) - w.apply(v_k) for v_k, w_k in zip(v.components, w.components)]
-    )
-
-
 def _reference_closure(generators, degree_cap, depth_cap, targets):
     """Every pair after the depth and degree filters, brackets from the definition."""
     nvars = generators[0].nvars
@@ -286,7 +280,7 @@ def _reference_closure(generators, degree_cap, depth_cap, targets):
                 if fields[i].degree + fields[j].degree - 1 > degree_cap:
                     discarded += 1
                     continue
-                bracket = _bracket_by_definition(fields[i], fields[j])
+                bracket = bracket_by_definition(fields[i], fields[j])
                 if bracket.is_zero():
                     continue
                 if bracket.degree > degree_cap:
@@ -321,14 +315,6 @@ def _assert_closure_matches_reference(generators, degree_cap, depth_cap, targets
     return cert
 
 
-closure_gaussian = st.builds(
-    lambda a, b, d: Scalar.exact(Fraction(a, d), Fraction(b, d)),
-    st.integers(-2, 2),
-    st.integers(-1, 1),
-    st.integers(1, 3),
-)
-
-
 @st.composite
 def _exponent(draw, nvars, degree):
     """An exponent vector of total degree <= degree."""
@@ -350,13 +336,13 @@ def homogeneous_families(draw):
         weight = [e - (k == index) for k, e in enumerate(exp)]
         comps = [Poly.zero(nvars)] * nvars
         if draw(st.booleans()):
-            comps[index] = Poly.monomial(nvars, exp, draw(closure_gaussian))
+            comps[index] = Poly.monomial(nvars, exp, draw(gaussian_rationals))
         else:
             # every x^(w + e_k) d/dx_k of the same weight w, with random coefficients
             for k in range(nvars):
                 shifted = [w + (j == k) for j, w in enumerate(weight)]
                 if min(shifted) >= 0:
-                    comps[k] = Poly.monomial(nvars, shifted, draw(closure_gaussian))
+                    comps[k] = Poly.monomial(nvars, shifted, draw(gaussian_rationals))
         gens.append(VectorField(comps))
     return gens, degree_cap, draw(st.integers(1, 4))
 
@@ -371,7 +357,7 @@ def inhomogeneous_families(draw):
         comps = []
         for _ in range(nvars):
             terms = {
-                tuple(draw(_exponent(nvars, degree_cap))): draw(closure_gaussian)
+                tuple(draw(_exponent(nvars, degree_cap))): draw(gaussian_rationals)
                 for _ in range(draw(st.integers(0, 2)))
             }
             comps.append(Poly(nvars, terms))
