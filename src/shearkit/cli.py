@@ -11,6 +11,7 @@ verdict was not established, 2 means a usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -381,7 +382,9 @@ def _run_basin(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by `run`."""
     parser = argparse.ArgumentParser(
         prog="shearkit",
         description="Exact density certificates and shear-automorphism numerics.",

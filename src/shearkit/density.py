@@ -20,6 +20,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from operator import add
@@ -34,7 +36,7 @@ from .fields import (
     nilpotency_report,
 )
 from .linalg import TrackedSpan, nullspace, rref
-from .poly import MonomialBasis, Poly, grlex_key
+from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, grlex_key
 from .scalars import ZERO, Scalar
 from . import serialize
 
@@ -319,22 +321,17 @@ def check_compatibility(
 
 
 def _degree_one_witness(d1: VectorField, ker2: Sequence[Poly], nvars: int) -> ConditionTwo:
-    if not ker2:
-        return ConditionTwo("not-established")
-    images = [d1.apply(d1.apply(k)) for k in ker2]
-    monomials = sorted({exp for p in images for exp in p.terms}, key=grlex_key)
-    index = {exp: i for i, exp in enumerate(monomials)}
-    zero = Scalar.exact(0)
-    rows = [[zero] * len(ker2) for _ in monomials]
-    for col, image in enumerate(images):
-        for exp, coeff in image.terms.items():
-            rows[index[exp]][col] = coeff
+    # column j is the sparse image d1^2(ker2[j]), one row per monomial reached
+    rows: dict[tuple[int, ...], int] = {}
+    columns = []
+    for k in ker2:
+        image = d1.apply(d1.apply(k))
+        columns.append({rows.setdefault(exp, len(rows)): c for exp, c in image.terms.items()})
     candidates = []
-    for vec in nullspace(rows, len(ker2)):
+    for vec in nullspace(columns):
         a = Poly.zero(nvars)
-        for coeff, k in zip(vec, ker2):
-            if not coeff.is_zero():
-                a = a + k.scale(coeff)
+        for col, coeff in vec.items():
+            a = a + ker2[col].scale(coeff)
         if not a.is_zero():
             candidates.append(a)
     if not candidates:
@@ -821,10 +818,18 @@ def matrix_variable(n: int, row: int, col: int) -> Poly:
     return Poly.variable(n * n, row * n + col)
 
 
+def _require_permutation_budget(n: int) -> None:
+    """Refuse an n x n determinant whose n! terms exceed the basis budget."""
+    if math.factorial(n) > MAX_BASIS_SIZE:
+        raise PreconditionError(
+            f"the {n}x{n} determinant has {math.factorial(n)} terms, "
+            f"more than {MAX_BASIS_SIZE}"
+        )
+
+
 def determinant_poly(n: int) -> Poly:
     """Determinant as a polynomial on the n^2 matrix entries."""
-    import itertools
-
+    _require_permutation_budget(n)
     nvars = n * n
     terms: dict[tuple[int, ...], Scalar] = {}
     for perm in itertools.permutations(range(n)):
@@ -878,6 +883,7 @@ def sample_sl_points(n: int, count: int, seed: int = 1729) -> list[tuple[Scalar,
     """
     if n < 2:
         raise PreconditionError("n must be at least 2")
+    _require_permutation_budget(n)  # each _exact_det call expands n! terms
     rng = random.Random(seed)
     points = []
     attempts = 0

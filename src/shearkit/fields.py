@@ -266,34 +266,21 @@ def annihilation_order(field: VectorField, f: Poly, cap: int = DEFAULT_NILPOTENC
 def kernel_basis(field: VectorField, degree: int) -> list[Poly]:
     """Exact basis of {f : deg f <= degree, V(f) = 0}, echelonized.
 
-    Solves the linear system V(f) = 0 on monomial coordinates by exact
-    elimination; the result is deterministic for the fixed graded-lex
-    order and sorted by leading monomial.
+    Solves V(f) = 0 by exact elimination of sparse columns: column i is
+    the image V(x^e_i), with one row per monomial any image reaches.
+    The result is deterministic for the fixed graded-lex order and
+    sorted by leading monomial.
     """
     basis = MonomialBasis(field.nvars, degree)
-    images = []
-    out_monomials: dict[tuple[int, ...], int] = {}
+    rows: dict[tuple[int, ...], int] = {}
+    columns = []
     for exp in basis:
         image = field.apply(Poly.monomial(field.nvars, exp, Scalar.exact(1)))
-        images.append(image)
-        for mon in image.terms:
-            out_monomials.setdefault(mon, len(out_monomials))
-    rows = [
-        [Scalar.exact(0)] * len(basis)
-        for _ in range(len(out_monomials))
+        columns.append({rows.setdefault(mon, len(rows)): c for mon, c in image.terms.items()})
+    polys = [
+        Poly(field.nvars, {basis.exponents[i]: value for i, value in vec.items()})
+        for vec in nullspace(columns)
     ]
-    for col, image in enumerate(images):
-        for mon, coeff in image.terms.items():
-            rows[out_monomials[mon]][col] = coeff
-    kernel = nullspace(rows, len(basis))
-    polys = []
-    for vec in kernel:
-        terms = {
-            basis.exponents[i]: value
-            for i, value in enumerate(vec)
-            if not value.is_zero()
-        }
-        polys.append(Poly(field.nvars, terms))
     polys.sort(key=lambda p: grlex_key(p.leading_monomial()))
     return polys
 

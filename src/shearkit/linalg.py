@@ -4,10 +4,10 @@ Every entry is an exact Gaussian rational: no pivot thresholds, no
 tolerances.  `TrackedSpan` is the one elimination engine: an
 incremental echelon span over sparse index->Scalar dicts that also
 remembers how each row was built from the inserted source vectors,
-which is what makes emitted certificates replayable.  `rref` and
-`nullspace` are dense views over it: the reduced row echelon form of
-the inserted rows, and the kernel read off the dependent columns.
-Both results are canonical, so they do not depend on the engine.
+which is what makes emitted certificates replayable.  `rref` is a
+dense view over it, the reduced row echelon form of the inserted rows;
+`nullspace` reads the kernel off the dependent sparse columns.  Both
+results are canonical, so they do not depend on the engine.
 """
 
 from __future__ import annotations
@@ -41,21 +41,21 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int
     return [[reduced[p].get(j, ZERO) for j in range(ncols)] for p in pivots], pivots
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Deterministic kernel basis: one vector per free column, ascending.
+def nullspace(columns: Sequence[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
+    """Deterministic kernel basis of the matrix with these sparse columns.
 
-    Column j is free iff it depends on the columns before it; its basis
-    vector is e_j minus that dependency.
+    Columns store no zeros.  One vector (column index -> entry) per free
+    column, ascending: column j is free iff it depends on the columns
+    before it, and its basis vector is e_j minus that dependency.
     """
     span = TrackedSpan()
     basis = []
-    for j in range(ncols):
-        remainder, combo = span.reduce({i: row[j] for i, row in enumerate(rows) if row[j]})
+    for j, column in enumerate(columns):
+        remainder, combo = span.reduce(column)
         if remainder:
             span._append(remainder, combo, j)
             continue
-        vec = [ZERO] * ncols
-        vec[j] = ONE
+        vec = {j: ONE}
         for src, coeff in span.expand_combination(combo).items():
             vec[src] = -coeff
         basis.append(vec)

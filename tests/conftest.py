@@ -98,3 +98,41 @@ def bracket_by_definition(v, w):
     return VectorField(
         [v.apply(w_k) - w.apply(v_k) for v_k, w_k in zip(v.components, w.components)]
     )
+
+
+def model_rref(rows):
+    """Dense Gauss-Jordan reference: (reduced nonzero rows, pivot columns)."""
+    work = [list(row) for row in rows]
+    if not work:
+        return [], []
+    pivots = []
+    rank = 0
+    for col in range(len(work[0])):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        lead = work[rank][col]
+        work[rank] = [v / lead for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return work[:rank], pivots
+
+
+def model_nullspace(rows, ncols):
+    """Dense kernel basis read off the model rref: one vector per free column."""
+    reduced, pivots = model_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Scalar.exact(0)] * ncols
+        vec[free] = Scalar.exact(1)
+        for row, pivot_col in zip(reduced, pivots):
+            vec[pivot_col] = -row[free]
+        basis.append(vec)
+    return basis

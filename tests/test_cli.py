@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from shearkit.cli import EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, run
+import shearkit
+from shearkit.cli import EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, build_parser, run
 
 
 def run_cli(*argv):
@@ -204,6 +209,41 @@ def test_usage_error_exit_code():
     assert run_cli("compat", "--d1", "[1;0]") == EXIT_USAGE
 
 
+def _lone_run(argv, output):
+    """Run one command as the first and only call of a fresh interpreter."""
+    paths = [str(Path(shearkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "shearkit.cli", *argv, "-o", str(output)],
+        env=env, capture_output=True, check=False,
+    )
+    return done.returncode, output.read_bytes()
+
+
+def test_reused_parser_carries_nothing_between_runs(tmp_path):
+    # the parser is built once per process; --candidate appends to a list
+    # default, so a leak would turn the second run's verdict into ideal-found
+    first = ["compat", "--d1", "[0;x1]", "--d2", "[x1;-x2]", "-d", "3",
+             "--candidate", "x1", "--candidate", "x1^2"]
+    second = first[:7]
+    usage_error = ["compat", "--d1", "[0;x1]", "--candidate", "x1", "-d", "3"]
+    lone = {
+        "first": _lone_run(first, tmp_path / "lone-first.json"),
+        "second": _lone_run(second, tmp_path / "lone-second.json"),
+    }
+    assert lone["first"] != lone["second"]
+    for step, (name, argv) in enumerate(
+        [("first", first), ("second", second), (None, usage_error), ("first", first)]
+    ):
+        out = tmp_path / f"step-{step}.json"
+        code = run_cli(*argv, "-o", str(out))
+        if name is None:
+            assert code == EXIT_USAGE and not out.exists()
+        else:
+            assert (code, out.read_bytes()) == lone[name]
+    assert build_parser() is build_parser()
+
+
 @pytest.mark.parametrize(
     "argv, document",
     [
@@ -304,4 +344,19 @@ def test_oversized_monomial_basis_is_refused_before_allocation(tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "monomials" in lines[0]
     # the basis would hold at least 5 * 10**11 exponent tuples
+    assert peak < 2_000_000
+
+
+def test_sl_demo_refuses_more_permutations_than_the_budget(capsys):
+    # 9! = 362,880 determinant terms, over poly.MAX_BASIS_SIZE
+    tracemalloc.start()
+    try:
+        code = run_cli("sl-demo", "-n", "9")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "362880 terms" in lines[0]
     assert peak < 2_000_000

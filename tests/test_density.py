@@ -165,6 +165,15 @@ class TestCompatibility:
         assert verdict.condition_one.witness_ideal == P("x2^2", 2)
         assert replay_compatibility(verdict, F("[1; 0]"), F("[x1; -x2]"))
 
+    def test_witness_combines_kernel_elements(self):
+        # d1^2 sends the d2-invariants x2 and x1*x3 to 1 and 2, so the
+        # witness is a kernel vector of d1^2 with two entries
+        d1, d2 = F("[1; x1; 1]"), F("[x1; 0; -x3]")
+        verdict = check_compatibility(d1, d2, 3)
+        assert verdict.condition_two.a == P("x1*x3 - 2*x2", 3)
+        assert verdict.condition_two.b == P("x3 - x1", 3)
+        assert replay_compatibility(verdict, d1, d2)
+
     def test_unusable_candidate_stays_not_established(self):
         # any ideal of the full ring contains x1-multiples, which the
         # x1-free product span of the same-direction pair cannot reach

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shearkit.dynamics import (
     AutoSeq,
@@ -477,24 +477,72 @@ def sequences_and_batches(draw):
     return seq, batch
 
 
+def _term_size(flow, column):
+    """|t| * sum |c| |p^e| over the coefficient's terms: the size of t*coeff(p)
+    before any cancellation, which bounds its rounding error."""
+    return abs(complex(flow.time)) * sum(
+        abs(c.to_complex()) * np.prod(np.abs(column) ** np.array(exp))
+        for exp, c in flow.coeff.terms.items()
+    )
+
+
+def _rounding_bound(flow, column, image):
+    """Entrywise bound on |apply - apply_array| for one factor on one column.
+
+    The two can differ in the last ulp of every operation (numpy's
+    vectorized complex loops).  A diagonal factor's error is relative to
+    the image.  A shear adds t*coeff(p), whose error is relative to the
+    terms before they cancel.  An overshear multiplies by exp(t*coeff(p)),
+    which turns the argument's absolute error into a relative one, so its
+    bound grows with |t*coeff(p)|.
+    """
+    bound = np.abs(image)
+    if isinstance(flow, ShearFlow):
+        bound[flow.axis] = max(bound[flow.axis], abs(column[flow.axis]) + _term_size(flow, column))
+    elif isinstance(flow, OvershearFlow):
+        bound[flow.axis] *= 1 + _term_size(flow, column)
+    # results in the subnormal range round absolutely
+    return 1e-13 * bound + 1e-300
+
+
 @settings(max_examples=200, deadline=None)
 @given(sequences_and_batches())
+@example((
+    AutoSeq(3, [
+        ShearFlow(0, P("0", 3), 0), ShearFlow(0, P("0", 3), 0),
+        OvershearFlow(2, P("-x1*x2^2", 3), 0.5),
+        DiagonalFlow((-1, -1, 0), 0.5j), DiagonalFlow((-2, -2, 0), 0.375 + 0.0078125j),
+    ]),
+    np.array([[0.5 + 1j, 0.5 + 0.5j], [0.5 + 0.5j, 0.5 + 0.5j], [1j, 1j]]),
+))
 def test_single_point_is_a_column_of_the_batch(case):
-    # numpy may round a batch and a single column differently in the last
-    # ulp (vectorized complex loops), so agreement is to rounding level;
-    # an overflow gives inf+nanj on both sides, which no tolerance matches
+    # apply is apply_array on one column, so the sequence is checked factor by
+    # factor: each factor's column against its batch at rounding level, and the
+    # sequence against the fold of its factors bit for bit.  Rounding errors
+    # compound along the sequence (an ulp in an exp argument of 800 moves a
+    # 4e193 image by 1e-13 of itself), so the sequence has no single tolerance.
     seq, batch = case
-    for flow in (seq,) + seq.elements:
-        images = flow.apply_array(batch)
-        finite = np.isfinite(images)
-        scale = 1e-13 * max(1.0, float(np.max(np.abs(images[finite]), initial=0.0)))
+    state = batch
+    points = [tuple(batch[:, k].tolist()) for k in range(batch.shape[1])]
+    for flow in reversed(seq.elements):
+        images = flow.apply_array(state)
         for k in range(batch.shape[1]):
-            point = flow.apply(tuple(batch[:, k].tolist()))
+            point = flow.apply(tuple(state[:, k].tolist()))
             assert type(point) is tuple and all(type(v) is complex for v in point)
             point = np.array(point)
-            assert np.array_equal(np.isfinite(point), finite[:, k])
-            gap = np.abs(point[finite[:, k]] - images[finite[:, k], k])
-            assert np.max(gap, initial=0.0) <= scale
+            finite = np.isfinite(images[:, k])
+            # an overflow gives inf+nanj on both sides, which no tolerance matches
+            assert np.array_equal(np.isfinite(point), finite)
+            gap = np.abs(point - images[:, k])[finite]
+            # a NaN bound (an infinite term size times a zero image) bounds nothing
+            assert not np.any(gap > _rounding_bound(flow, state[:, k], images[:, k])[finite])
+            points[k] = flow.apply(points[k])
+        state = images
+    assert seq.apply_array(batch).tobytes() == state.tobytes()
+    for k, folded in enumerate(points):
+        point = seq.apply(tuple(batch[:, k].tolist()))
+        assert type(point) is tuple and all(type(v) is complex for v in point)
+        assert np.array(point).tobytes() == np.array(folded).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,12 +19,13 @@ from shearkit.fields import (
     parse_vector_field,
     pushforward,
 )
-from shearkit.poly import Poly, parse_poly
+from shearkit.poly import MonomialBasis, Poly, grlex_key, parse_poly
 from shearkit.scalars import Scalar
 
 from conftest import (
     bracket_by_definition,
     gaussian_rationals,
+    model_nullspace,
     numeric_bracket,
     random_exact_poly,
     random_field,
@@ -374,3 +375,35 @@ def test_bracket_kernel_matches_the_definition(pair):
     for comp in bracket.components:
         assert comp.nvars == v.nvars
         assert all(not coeff.is_zero() for coeff in comp.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# kernel_basis against a dense kernel
+# ---------------------------------------------------------------------------
+
+
+def _dense_kernel_basis(field, degree):
+    """Kernel from the dense matrix of monomial images, by the test-side model."""
+    basis = MonomialBasis(field.nvars, degree).exponents
+    images = [field.apply(Poly.monomial(field.nvars, exp, Scalar.exact(1))) for exp in basis]
+    monomials = sorted({mon for image in images for mon in image.terms}, key=grlex_key)
+    rows = [[image.coefficient(mon) for image in images] for mon in monomials]
+    kernel = [
+        Poly(field.nvars, {exp: value for exp, value in zip(basis, vec)})
+        for vec in model_nullspace(rows, len(basis))
+    ]
+    return sorted(kernel, key=lambda p: grlex_key(p.leading_monomial()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(_fields), st.integers(0, 3))
+@example(F("[x1; x2; x3]"), 3)  # Euler field: only the constants
+@example(F("[x1; 2*x2]"), 2)
+@example(F("[0; 0]"), 2)  # everything is in the kernel
+@example(F("[1; 0]"), 3)
+@example(F("[x2; 0; (1+i)*x1]"), 3)
+def test_kernel_basis_matches_the_dense_model(field, degree):
+    kernel = kernel_basis(field, degree)
+    assert kernel == _dense_kernel_basis(field, degree)
+    for k in kernel:
+        assert field.apply(k).is_zero()

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from shearkit.linalg import TrackedSpan, nullspace, rref
 from shearkit.scalars import Scalar
 
+from conftest import model_nullspace, model_rref
+
 
 def S(x):
     return Scalar.exact(Fraction(x))
@@ -27,13 +29,13 @@ def test_rref_detects_dependency():
 
 def test_nullspace_vectors_annihilate_matrix():
     rows = [[S(1), S(1), S(0)], [S(0), S(1), S(1)]]
-    kernel = nullspace(rows, 3)
+    kernel = nullspace(_columns(rows, 3))
     assert len(kernel) == 1
     vec = kernel[0]
     for row in rows:
         total = Scalar.exact(0)
-        for a, b in zip(row, vec):
-            total = total + a * b
+        for j, b in vec.items():
+            total = total + row[j] * b
         assert total.is_zero()
 
 
@@ -79,48 +81,17 @@ class TestTrackedSpan:
 
 
 # ---------------------------------------------------------------------------
-# Dense Gauss-Jordan reference model for the span-backed rref and nullspace
+# The span-backed rref and nullspace against the dense model in conftest
 # ---------------------------------------------------------------------------
-
-
-def _model_rref(rows):
-    work = [list(row) for row in rows]
-    if not work:
-        return [], []
-    pivots = []
-    rank = 0
-    for col in range(len(work[0])):
-        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        lead = work[rank][col]
-        work[rank] = [v / lead for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    return work[:rank], pivots
-
-
-def _model_nullspace(rows, ncols):
-    reduced, pivots = _model_rref(rows)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Scalar.exact(0)] * ncols
-        vec[free] = Scalar.exact(1)
-        for row, pivot_col in zip(reduced, pivots):
-            vec[pivot_col] = -row[free]
-        basis.append(vec)
-    return basis
 
 
 def _sparse(row):
     return {j: v for j, v in enumerate(row) if v}
+
+
+def _columns(rows, ncols):
+    """The sparse columns of a dense matrix, as `nullspace` takes them."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
 gaussian = st.builds(
@@ -160,9 +131,10 @@ IMAG = Scalar.exact(0, 1)
 @example((3, [[S(1), S(0), S(0)], [S(0), S(1), S(0)], [S(0), S(0), IMAG]]))
 def test_span_views_match_the_dense_model(matrix):
     ncols, rows = matrix
-    expected_rows, expected_pivots = _model_rref(rows)
+    expected_rows, expected_pivots = model_rref(rows)
     assert rref(rows) == (expected_rows, expected_pivots)
-    assert nullspace(rows, ncols) == _model_nullspace(rows, ncols)
+    kernel = nullspace(_columns(rows, ncols))
+    assert kernel == [_sparse(vec) for vec in model_nullspace(rows, ncols)]
 
     span = TrackedSpan()
     for row in rows:
@@ -171,11 +143,10 @@ def test_span_views_match_the_dense_model(matrix):
         p: _sparse(row) for row, p in zip(expected_rows, expected_pivots)
     }
 
-    kernel = nullspace(rows, ncols)
     assert len(kernel) == ncols - len(expected_pivots)
     for vec in kernel:
         for row in rows:
-            assert sum((a * b for a, b in zip(row, vec)), Scalar.exact(0)).is_zero()
+            assert sum((row[j] * b for j, b in vec.items()), Scalar.exact(0)).is_zero()
 
 
 @settings(max_examples=150, deadline=None)
