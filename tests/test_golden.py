@@ -59,6 +59,40 @@ GOLDEN = [
         {"-o": "795c7558f3861b378282c876a8df7f5f8dadd613f9e3a583143044caabc17dff"},
         id="codim2-axis-d4",
     ),
+    pytest.param(
+        ["verify-identity", "andersen-lempert", "--f1", "x2", "--f2", "x1", "-n", "2"],
+        {"-o": "283b51eceeb359e121f2521a9d2c5bbae6012ad980e5deb4af5ffbe25d39b5bc"},
+        id="identity-andersen-lempert",
+    ),
+    # the alias keeps its own name in "identity" and the full name as the check label
+    pytest.param(
+        ["verify-identity", "al", "--f1", "x2", "--f2", "x1", "-n", "2"],
+        {"-o": "be7ee3b0459ce18a5816744c80478d6e1e5c66592d9ef98f8953f5c99b45831f"},
+        id="identity-al",
+    ),
+    pytest.param(
+        ["verify-identity", "compat-pair", "--d1", "[1;0]", "--d2", "[0;1]", "--a", "x1",
+         "--f1", "x2^2", "--f2", "x1", "-n", "2"],
+        {"-o": "fd0d53d4574c8d8d8e6582afac8317a307e9be3101943c7099e6a14409c5b11c"},
+        id="identity-compat-pair",
+    ),
+    pytest.param(
+        ["verify-identity", "codim2-pair", "--f1", "1", "--h1", "x2", "--f2", "1", "--h2", "x1",
+         "-n", "3"],
+        {"-o": "100616a87851b11a6f2870a268866cc8f3dc239efad44eb6ac03bc6708031636"},
+        id="identity-codim2-pair",
+    ),
+    pytest.param(
+        ["verify-identity", "local-triple", "--r", "x2^2", "--h", "1", "-s", "0", "--f", "x3",
+         "--g", "x3", "-n", "3"],
+        {"-o": "7787439494ffdb882d3db025c1c609b397d6865e1568c085184810b03aaab25c"},
+        id="identity-local-triple",
+    ),
+    pytest.param(
+        ["sl-demo", "-n", "3", "--trials", "5"],
+        {"-o": "c5f92725d9b941b11ebe50794f30947d4baa06fdb2a2bcaa31e2d623cf21fb0c"},
+        id="sl-demo-n3",
+    ),
 ]
 
 
