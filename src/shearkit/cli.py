@@ -63,76 +63,50 @@ def _read_fields_file(path: str, nvars: int | None):
     return fields
 
 
-def _require_operands(args, *names: str) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join(f"--{name}" for name in missing)
-        raise ShearKitError(f"identity {args.name!r} needs {flags}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
 
+# identity name -> (operand flags in the verifier's argument order, verifier)
+_IDENTITIES = {
+    "andersen-lempert": (("f1", "f2"), density.verify_shear_identity),
+    "al": (("f1", "f2"), density.verify_shear_identity),
+    "compat-pair": (("d1", "d2", "a", "f1", "f2"), density.verify_compat_identity),
+    "codim2-pair": (("f1", "h1", "f2", "h2"), subvariety.verify_codim2_identity),
+    "local-triple": (("r", "h", "s", "f", "g"), subvariety.verify_local_identities),
+}
+# how each operand flag's text is read; -s is already an int
+_OPERAND_PARSERS = {"d1": parse_vector_field, "d2": parse_vector_field, "s": lambda value, _nvars: value}
+
+
 def _run_verify_identity(args) -> int:
     _require_positive(args, "nvars")
-    n = args.nvars
-    name = args.name
-    if name in ("andersen-lempert", "al"):
-        _require_operands(args, "f1", "f2")
-        check = density.verify_shear_identity(
-            parse_poly(args.f1, n), parse_poly(args.f2, n)
-        )
-        checks = {"andersen-lempert": check.holds}
-        residuals = {"andersen-lempert": serialize.field_to_text(check.residual)}
-    elif name == "compat-pair":
-        _require_operands(args, "d1", "d2", "a", "f1", "f2")
-        check = density.verify_compat_identity(
-            parse_vector_field(args.d1, n),
-            parse_vector_field(args.d2, n),
-            parse_poly(args.a, n),
-            parse_poly(args.f1, n),
-            parse_poly(args.f2, n),
-        )
-        checks = {"compat-pair": check.holds}
-        residuals = {"compat-pair": serialize.field_to_text(check.residual)}
-    elif name == "codim2-pair":
-        _require_operands(args, "f1", "h1", "f2", "h2")
-        check = subvariety.verify_codim2_identity(
-            parse_poly(args.f1, n),
-            parse_poly(args.h1, n),
-            parse_poly(args.f2, n),
-            parse_poly(args.h2, n),
-        )
-        checks = {"codim2-pair": check.holds}
-        residuals = {"codim2-pair": serialize.field_to_text(check.residual)}
-    elif name == "local-triple":
-        _require_operands(args, "r", "h", "f", "g")
-        report = subvariety.verify_local_identities(
-            parse_poly(args.r, n),
-            parse_poly(args.h, n),
-            args.s,
-            parse_poly(args.f, n),
-            parse_poly(args.g, n),
-        )
-        checks = {
-            f"local-{i + 1}": c.holds for i, c in enumerate(report.checks)
-        }
-        residuals = {
-            f"local-{i + 1}": serialize.field_to_text(c.residual)
-            for i, c in enumerate(report.checks)
-        }
+    flags, verify = _IDENTITIES[args.name]
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ShearKitError(f"identity {args.name!r} needs {', '.join(missing)}")
+    operands = [
+        _OPERAND_PARSERS.get(flag, parse_poly)(getattr(args, flag), args.nvars) for flag in flags
+    ]
+    verdict = verify(*operands)
+    if isinstance(verdict, subvariety.LocalIdentityReport):
+        results = {f"local-{i}": check for i, check in enumerate(verdict.checks, 1)}
     else:
-        raise ShearKitError(f"unknown identity {name!r}")
+        # one identity, one check, labelled by the full name ("al" is its alias)
+        results = {"andersen-lempert" if args.name == "al" else args.name: verdict}
+    checks = {label: check.holds for label, check in results.items()}
     established = all(checks.values())
     _emit(
         {
             "schema_version": serialize.SCHEMA_VERSION,
             "kind": "identity-verdicts",
-            "identity": name,
+            "identity": args.name,
             "checks": checks,
-            "residuals": residuals,
+            "residuals": {
+                label: serialize.field_to_text(check.residual)
+                for label, check in results.items()
+            },
             "established": established,
         },
         args.output,
@@ -205,39 +179,33 @@ def _run_sl_demo(args) -> int:
     det_minus_one = det - parse_poly("1", n * n)
     points = density.sample_sl_points(n, args.trials, args.seed)
     zero = density.VectorField.zero(n * n)
-    tangency1 = density.verify_on_variety(
-        density.VectorField.monomial(n * n, 0, d1.apply(det)), zero, [det_minus_one], points
+    images = [d1.apply(det), d2.apply(det)]
+    # one field holds both images, so the points' premise is checked once
+    tangency = density.verify_on_variety(
+        density.VectorField(images + list(zero.components[2:])), zero, [det_minus_one], points
     )
-    tangency2 = density.verify_on_variety(
-        density.VectorField.monomial(n * n, 0, d2.apply(det)), zero, [det_minus_one], points
-    )
+    tangency_symbolic = all(image.is_zero() for image in images)
     a = density.matrix_variable(n, 0, 0)
     b = d1.apply(a)
     witness_ok = (
         d2.apply(a).is_zero() and not b.is_zero() and d1.apply(b).is_zero()
     )
-    holds = (
-        d1.apply(det).is_zero()
-        and d2.apply(det).is_zero()
-        and tangency1.holds_on_samples
-        and tangency2.holds_on_samples
-        and witness_ok
-    )
+    holds = tangency_symbolic and tangency.holds_on_samples and witness_ok
     _emit(
         {
             "schema_version": serialize.SCHEMA_VERSION,
             "kind": "sl-demo",
             "n": n,
             "points_tested": len(points),
-            "tangency_symbolic": d1.apply(det).is_zero() and d2.apply(det).is_zero(),
-            "tangency_on_samples": tangency1.holds_on_samples and tangency2.holds_on_samples,
+            "tangency_symbolic": tangency_symbolic,
+            "tangency_on_samples": tangency.holds_on_samples,
             "witness": {
                 "a": serialize.poly_to_text(a),
                 "b": serialize.poly_to_text(b),
                 "holds": witness_ok,
             },
             "holds": holds,
-            "note": tangency1.note,
+            "note": tangency.note,
             "seed": args.seed,
         },
         args.output,
@@ -396,10 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="write the JSON artifact here")
 
     p = sub.add_parser("verify-identity", help="check a named bracket identity exactly")
-    p.add_argument(
-        "name",
-        choices=["andersen-lempert", "al", "compat-pair", "codim2-pair", "local-triple"],
-    )
+    p.add_argument("name", choices=list(_IDENTITIES))
     p.add_argument("-n", "--nvars", type=int, required=True)
     for flag in ("--f1", "--f2", "--h1", "--h2", "--a", "--d1", "--d2", "--r", "--h", "--f", "--g"):
         p.add_argument(flag)

@@ -34,6 +34,7 @@ from .fields import (
     VectorField,
     kernel_basis,
     nilpotency_report,
+    shear_pair_residual,
 )
 from .linalg import TrackedSpan, nullspace, rref
 from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, grlex_key
@@ -108,14 +109,7 @@ def verify_shear_identity(f1: Poly, f2: Poly) -> IdentityCheck:
         violations.append("f2 must not depend on x2")
     if violations:
         raise PreconditionError(violations)
-    x1 = Poly.variable(n, 0)
-    a = VectorField.monomial(n, 0, f1)
-    b = VectorField.monomial(n, 1, x1 * f2)
-    c = VectorField.monomial(n, 0, x1 * f1)
-    d = VectorField.monomial(n, 1, f2)
-    lhs = a.bracket(b) - c.bracket(d)
-    rhs = VectorField.monomial(n, 1, f1 * f2)
-    return _check(lhs - rhs)
+    return _check(shear_pair_residual(n, 0, 1, f1, f2))
 
 
 def verify_compat_identity(
@@ -212,21 +206,6 @@ class CompatibilityVerdict:
         return doc
 
 
-def _is_diagonal(field: VectorField) -> bool:
-    """True when every component is zero or a scalar multiple of its own x_i."""
-    n = field.nvars
-    for i, comp in enumerate(field.components):
-        if comp.is_zero():
-            continue
-        if len(comp.terms) != 1:
-            return False
-        (exp, _coeff), = comp.terms.items()
-        expected = tuple(1 if j == i else 0 for j in range(n))
-        if exp != expected:
-            return False
-    return True
-
-
 def _echelon_polys(polys: Sequence[Poly], nvars: int) -> list[Poly]:
     """Canonical reduced basis of the span, rows by descending leading monomial."""
     monomials = sorted(
@@ -276,7 +255,8 @@ def check_compatibility(
         raise PreconditionError(
             f"d1 must be locally nilpotent (verdict {report1.verdict.value})"
         )
-    if not _is_diagonal(d2):
+    # d2 is diagonal, sum c_i x_i d/dx_i, exactly when every term has weight 0
+    if _weight(d2) != (0,) * d2.nvars:
         report2 = nilpotency_report(d2, cap)
         if report2.verdict is not NilpotencyVerdict.NILPOTENT:
             raise PreconditionError(
@@ -667,20 +647,22 @@ def replay_closure(cert: LieClosureCertificate) -> bool:
     """Rebuild every basis element and established target from the record.
 
     Returns True iff every recorded combination reproduces its field
-    exactly (zero residual).
+    exactly (zero residual).  An index out of range also makes it False:
+    a generator index must lie in [0, len(generators)), and every other
+    index in [0, number of fields rebuilt so far).
     """
     fields: list[VectorField] = []
     for rec in cert.basis:
-        if rec.source_kind == "generator":
+        if rec.source_kind == "generator" and _in_range(len(cert.generators), rec.left):
             raw = cert.generators[rec.left]
-        elif rec.source_kind == "bracket":
+        elif rec.source_kind == "bracket" and _in_range(len(fields), rec.left, rec.right):
             raw = fields[rec.left].bracket(fields[rec.right])
         else:
             return False
+        if not _in_range(len(fields), *(idx for _, idx in rec.corrections)):
+            return False
         combined = raw.scale(rec.scale)
         for coeff, idx in rec.corrections:
-            if idx >= len(fields):
-                return False
             combined = combined + fields[idx].scale(coeff)
         if combined.degree > cert.degree_cap:
             return False
@@ -690,12 +672,19 @@ def replay_closure(cert: LieClosureCertificate) -> bool:
     for record in cert.targets:
         if not record.established:
             continue
+        if not _in_range(len(fields), *(idx for _, idx in record.combination)):
+            return False
         total = VectorField.zero(cert.nvars)
         for coeff, idx in record.combination:
             total = total + fields[idx].scale(coeff)
         if not (total - record.target).is_zero():
             return False
     return True
+
+
+def _in_range(size: int, *indices) -> bool:
+    """True when every index is an int in [0, size); a negative one would wrap."""
+    return all(isinstance(i, int) and 0 <= i < size for i in indices)
 
 
 def shear_generator_family(degree: int, nvars: int = 2) -> list[VectorField]:
@@ -818,18 +807,13 @@ def matrix_variable(n: int, row: int, col: int) -> Poly:
     return Poly.variable(n * n, row * n + col)
 
 
-def _require_permutation_budget(n: int) -> None:
-    """Refuse an n x n determinant whose n! terms exceed the basis budget."""
+def determinant_poly(n: int) -> Poly:
+    """Determinant as a polynomial on the n^2 matrix entries."""
     if math.factorial(n) > MAX_BASIS_SIZE:
         raise PreconditionError(
             f"the {n}x{n} determinant has {math.factorial(n)} terms, "
             f"more than {MAX_BASIS_SIZE}"
         )
-
-
-def determinant_poly(n: int) -> Poly:
-    """Determinant as a polynomial on the n^2 matrix entries."""
-    _require_permutation_budget(n)
     nvars = n * n
     terms: dict[tuple[int, ...], Scalar] = {}
     for perm in itertools.permutations(range(n)):
@@ -862,16 +846,23 @@ def sl_pair_derivations(n: int) -> tuple[VectorField, VectorField]:
 
 
 def _exact_det(entries: list[list[Scalar]]) -> Scalar:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    total = Scalar.exact(0)
-    sign = Scalar.exact(1)
-    for col in range(n):
-        minor = [row[:col] + row[col + 1 :] for row in entries[1:]]
-        total = total + sign * entries[0][col] * _exact_det(minor)
-        sign = -sign
-    return total
+    """Determinant of a square matrix by exact Gaussian elimination over Q(i)."""
+    rows = [list(row) for row in entries]
+    det = Scalar.exact(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return Scalar.exact(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        head = rows[col]
+        det = det * head[col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / head[col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], head)]
+    return det
 
 
 def sample_sl_points(n: int, count: int, seed: int = 1729) -> list[tuple[Scalar, ...]]:
@@ -883,7 +874,6 @@ def sample_sl_points(n: int, count: int, seed: int = 1729) -> list[tuple[Scalar,
     """
     if n < 2:
         raise PreconditionError("n must be at least 2")
-    _require_permutation_budget(n)  # each _exact_det call expands n! terms
     rng = random.Random(seed)
     points = []
     attempts = 0
@@ -903,9 +893,8 @@ def sample_sl_points(n: int, count: int, seed: int = 1729) -> list[tuple[Scalar,
         cofactor = _exact_det(minor)
         if cofactor.is_zero():
             continue
-        zeroed = [row[:] for row in entries]
-        zeroed[0][0] = Scalar.exact(0)
-        rest = _exact_det(zeroed)
+        entries[0][0] = Scalar.exact(0)
+        rest = _exact_det(entries)
         entries[0][0] = (Scalar.exact(1) - rest) / cofactor
         assert (_exact_det(entries) - Scalar.exact(1)).is_zero()
         points.append(tuple(value for row in entries for value in row))

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArityMismatch, PreconditionError, RegimeMismatch, ShearKitError
-from .fields import VectorField
+from .fields import VectorField, shear_pair_fields, shear_pair_residual
 from .poly import Poly, grlex_key
 from .scalars import Scalar
 from . import serialize
@@ -327,12 +327,8 @@ class Shear:
 class BracketPair:
     """Primitive realizing f1*f2*d/dx_axis as a difference of two brackets.
 
-    The four integrable factor fields are f1 d/dx_aux, x_aux f2 d/dx_axis,
-    x_aux f1 d/dx_aux and f2 d/dx_axis; the identity
-
-        [f1 dj, xj f2 di] - [xj f1 dj, f2 di] = f1 f2 di
-
-    is re-verified exactly at construction time.
+    The brackets are the shear identity on the four integrable factors of
+    `fields.shear_pair_fields`, re-verified exactly at construction time.
     """
 
     axis: int
@@ -347,15 +343,8 @@ class BracketPair:
             raise PreconditionError("f1 must not depend on the auxiliary variable")
         if not self.f2.partial(self.axis).is_zero():
             raise PreconditionError("f2 must not depend on the target variable")
-        n = self.f1.nvars
-        xj = Poly.variable(n, self.aux)
-        lhs = VectorField.monomial(n, self.aux, self.f1).bracket(
-            VectorField.monomial(n, self.axis, xj * self.f2)
-        ) - VectorField.monomial(n, self.aux, xj * self.f1).bracket(
-            VectorField.monomial(n, self.axis, self.f2)
-        )
-        rhs = VectorField.monomial(n, self.axis, self.f1 * self.f2)
-        if not (lhs - rhs).is_zero():
+        residual = shear_pair_residual(self.f1.nvars, self.aux, self.axis, self.f1, self.f2)
+        if not residual.is_zero():
             raise PreconditionError("bracket-pair identity failed to verify")
 
 
@@ -474,22 +463,15 @@ def commutator_step(a_field: VectorField, b_field: VectorField, s: float) -> Aut
     )
 
 
-def _bracket_pair_fields(primitive: BracketPair, nvars: int):
-    xj = Poly.variable(nvars, primitive.aux)
-    a1 = VectorField.monomial(nvars, primitive.aux, primitive.f1)
-    b1 = VectorField.monomial(nvars, primitive.axis, xj * primitive.f2)
-    a2 = VectorField.monomial(nvars, primitive.aux, xj * primitive.f1)
-    b2 = VectorField.monomial(nvars, primitive.axis, primitive.f2)
-    return a1, b1, a2, b2
-
-
 def _primitive_step(
     primitive: CompletePrimitive, nvars: int, dt: float, scheme: str
 ) -> list[ElementaryFlow]:
     """Application-ordered factors advancing one primitive by time dt."""
     if isinstance(primitive, Shear):
         return [ShearFlow(primitive.axis, primitive.coeff, dt)]
-    a1, b1, a2, b2 = _bracket_pair_fields(primitive, nvars)
+    a1, b1, a2, b2 = shear_pair_fields(
+        nvars, primitive.aux, primitive.axis, primitive.f1, primitive.f2
+    )
     if scheme == "plain":
         a = cmath.sqrt(dt)
         # exp(dt [A1,B1]) then exp(-dt [A2,B2]) = exp(dt [B2,A2])

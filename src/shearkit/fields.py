@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import ArityMismatch, ParseError, PreconditionError, RegimeMismatch
 from .linalg import nullspace
-from .poly import MonomialBasis, Poly, format_poly, grlex_key, parse_poly
+from .poly import MonomialBasis, Poly, _trusted_poly, format_poly, grlex_key, parse_poly
 from .scalars import Scalar
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "NilpotencyVerdict",
     "NilpotencyReport",
     "lie_bracket",
+    "shear_pair_fields",
+    "shear_pair_residual",
     "nilpotency_report",
     "annihilation_order",
     "kernel_basis",
@@ -66,9 +68,7 @@ class VectorField:
     @classmethod
     def coordinate(cls, nvars: int, index: int) -> "VectorField":
         """The coordinate derivation d/dx_index."""
-        comps = [Poly.zero(nvars)] * nvars
-        comps[index] = Poly.constant(nvars, 1)
-        return cls(comps)
+        return cls.monomial(nvars, index, Poly.constant(nvars, 1))
 
     @classmethod
     def monomial(cls, nvars: int, index: int, coefficient: Poly) -> "VectorField":
@@ -133,13 +133,9 @@ class VectorField:
                             term = a_coeff * factor
                             cur = acc.get(key)
                             acc[key] = term if cur is None else cur + term
-        comps = []
-        for acc in sums:
-            comp = Poly.__new__(Poly)
-            comp.nvars = n
-            comp.terms = {exp: coeff for exp, coeff in acc.items() if coeff}
-            comps.append(comp)
-        return VectorField(comps)
+        return VectorField(
+            [_trusted_poly(n, {exp: c for exp, c in acc.items() if c}) for acc in sums]
+        )
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):
@@ -187,6 +183,28 @@ class VectorField:
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     return v.bracket(w)
+
+
+def shear_pair_fields(nvars: int, aux: int, axis: int, f1: Poly, f2: Poly):
+    """The four factors, in order, of the Andersen-Lempert shear identity
+
+        [f1 d_aux, x_aux f2 d_axis] - [x_aux f1 d_aux, f2 d_axis] = f1 f2 d_axis,
+
+    where d_k = d/dx_k; it holds when f1 is free of x_aux and f2 of x_axis.
+    """
+    x_aux = Poly.variable(nvars, aux)
+    return (
+        VectorField.monomial(nvars, aux, f1),
+        VectorField.monomial(nvars, axis, x_aux * f2),
+        VectorField.monomial(nvars, aux, x_aux * f1),
+        VectorField.monomial(nvars, axis, f2),
+    )
+
+
+def shear_pair_residual(nvars: int, aux: int, axis: int, f1: Poly, f2: Poly) -> VectorField:
+    """Left side minus right side of the shear identity; see `shear_pair_fields`."""
+    a1, b1, a2, b2 = shear_pair_fields(nvars, aux, axis, f1, f2)
+    return a1.bracket(b1) - a2.bracket(b2) - VectorField.monomial(nvars, axis, f1 * f2)
 
 
 def parse_vector_field(text: str, nvars: int | None = None) -> VectorField:

@@ -145,10 +145,7 @@ class Poly:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return _trusted_poly(self.nvars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -156,10 +153,7 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = {exp: -coeff for exp, coeff in self.terms.items()}
-        return result
+        return _trusted_poly(self.nvars, {exp: -coeff for exp, coeff in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -176,18 +170,14 @@ class Poly:
                     out.pop(exp, None)
                 else:
                     out[exp] = s
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
+        return _trusted_poly(self.nvars, out)
 
     def scale(self, factor: Scalar) -> "Poly":
         if factor.is_zero():
             return Poly.zero(self.nvars)
-        result = Poly.__new__(Poly)
-        result.nvars = self.nvars
-        result.terms = {exp: coeff * factor for exp, coeff in self.terms.items()}
-        return result
+        return _trusted_poly(
+            self.nvars, {exp: coeff * factor for exp, coeff in self.terms.items()}
+        )
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -211,7 +201,7 @@ class Poly:
             new_exp = list(exp)
             new_exp[index] = e - 1
             out[tuple(new_exp)] = coeff * e
-        return Poly(self.nvars, out)
+        return _trusted_poly(self.nvars, out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.nvars:
@@ -294,6 +284,18 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {format_poly(self)!r})"
+
+
+def _trusted_poly(nvars: int, terms: dict[tuple[int, ...], Scalar]) -> Poly:
+    """A Poly holding `terms` itself, without `Poly.__init__`'s checks or copy.
+
+    The caller hands `terms` over and guarantees what those checks would:
+    exponent tuples of length `nvars`, no negative exponent, no zero coefficient.
+    """
+    result = Poly.__new__(Poly)
+    result.nvars = nvars
+    result.terms = terms
+    return result
 
 
 class MonomialBasis:

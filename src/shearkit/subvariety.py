@@ -33,7 +33,7 @@ from .density import (
 from .linalg import TrackedSpan
 from .poly import MonomialBasis, Poly, grlex_key
 from .scalars import Scalar
-from .fields import VectorField
+from .fields import VectorField, shear_pair_residual
 from . import serialize
 
 __all__ = [
@@ -141,7 +141,6 @@ def eliminate_direction(
             span.insert(coords, source=(exp, gen_idx))
 
     elements = []
-    combinations = []
     for row_idx in range(span.dimension):
         if span.pivots[row_idx] < first_good:
             continue
@@ -216,7 +215,12 @@ def build_vanishing_shear(
 
 
 def verify_codim2_identity(f1: Poly, h1: Poly, f2: Poly, h2: Poly) -> IdentityCheck:
-    """Check [f1 h1 d1, x1 f2 h2 d2] - [x1 f1 h1 d1, f2 h2 d2] = f1 f2 h1 h2 d2."""
+    """Check [f1 h1 d1, x1 f2 h2 d2] - [x1 f1 h1 d1, f2 h2 d2] = f1 f2 h1 h2 d2.
+
+    This is the shear identity of `verify_shear_identity` at f1*h1 and
+    f2*h2 (`fields.shear_pair_residual`); the preconditions are checked
+    factor by factor, so a violation names the factor at fault.
+    """
     if len({f1.nvars, h1.nvars, f2.nvars, h2.nvars}) != 1:
         raise ArityMismatch("operands disagree on variable count")
     n = f1.nvars
@@ -233,14 +237,7 @@ def verify_codim2_identity(f1: Poly, h1: Poly, f2: Poly, h2: Poly) -> IdentityCh
         violations.append("h2 must not depend on x2")
     if violations:
         raise PreconditionError(violations)
-    x1 = Poly.variable(n, 0)
-    lhs = VectorField.monomial(n, 0, f1 * h1).bracket(
-        VectorField.monomial(n, 1, x1 * f2 * h2)
-    ) - VectorField.monomial(n, 0, x1 * f1 * h1).bracket(
-        VectorField.monomial(n, 1, f2 * h2)
-    )
-    rhs = VectorField.monomial(n, 1, f1 * f2 * h1 * h2)
-    return _check(lhs - rhs)
+    return _check(shear_pair_residual(n, 0, 1, f1 * h1, f2 * h2))
 
 
 @dataclass(frozen=True)
@@ -299,18 +296,18 @@ def verify_local_identities(
     nu2_comps[0] = r.partial(1)
     nu2 = VectorField(nu2_comps)
 
+    def pair_residual(p: Poly) -> VectorField:
+        # the second (p = xi) and third (p = f) identity share this shape
+        return (
+            nu2.mul_poly(xi).bracket(nu1.mul_poly(x2 * p))
+            - nu2.mul_poly(x2 * xi).bracket(nu1.mul_poly(p))
+            - nu1.mul_poly(hs * xi * p)
+        )
+
     first = nu1.mul_poly(f).bracket(nu1.mul_poly(xi * g)) - nu1.mul_poly(hs * f * g)
-    second = (
-        nu2.mul_poly(xi).bracket(nu1.mul_poly(x2 * xi))
-        - nu2.mul_poly(x2 * xi).bracket(nu1.mul_poly(xi))
-        - nu1.mul_poly(hs * xi * xi)
+    return LocalIdentityReport(
+        (_check(first), _check(pair_residual(xi)), _check(pair_residual(f)))
     )
-    third = (
-        nu2.mul_poly(xi).bracket(nu1.mul_poly(x2 * f))
-        - nu2.mul_poly(x2 * xi).bracket(nu1.mul_poly(f))
-        - nu1.mul_poly(hs * xi * f)
-    )
-    return LocalIdentityReport((_check(first), _check(second), _check(third)))
 
 
 @dataclass

@@ -58,6 +58,11 @@ class TestVerifyIdentity:
         )
         assert code == EXIT_USAGE
 
+    def test_missing_operands_are_a_usage_error(self, capsys):
+        code = run_cli("verify-identity", "local-triple", "--r", "x2", "-n", "3")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: identity 'local-triple' needs --h, --f, --g\n"
+
 
 class TestCompat:
     def test_coordinate_pair(self, capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from shearkit.density import (
     BasisRecord,
+    _exact_det,
     LieClosureCertificate,
     TargetRecord,
     check_compatibility,
@@ -243,6 +244,41 @@ class TestLieClosure:
         assert cert.targets[0].reason == "target degree exceeds the cap"
 
 
+def _set_index(doc, kind, past_end):
+    """Move one index of a closure document out of its range [0, size).
+
+    The index becomes `size`, or `index - size`: the negative index that
+    Python would wrap to the same entry, so only a range check can catch it.
+    """
+    basis = doc["basis"]
+    if kind == "generator-left":
+        k = next(k for k, rec in enumerate(basis) if rec["source_kind"] == "generator")
+        entry, key, size = basis[k], "left", len(doc["generators"])
+    elif kind in ("bracket-left", "bracket-right"):
+        # a bracket record may only name the k fields rebuilt before it
+        k = next(k for k, rec in enumerate(basis) if rec["source_kind"] == "bracket")
+        entry, key, size = basis[k], kind.removeprefix("bracket-"), k
+    elif kind == "correction":
+        k = next(k for k, rec in enumerate(basis) if rec["corrections"])
+        entry, key, size = basis[k]["corrections"][0], 1, k
+    else:
+        target = next(t for t in doc["targets"] if t["established"])
+        entry, key, size = target["combination"][0], 1, len(basis)
+    entry[key] = size if past_end else entry[key] - size
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["negative-alias", "too-large"])
+@pytest.mark.parametrize(
+    "kind", ["generator-left", "bracket-left", "bracket-right", "correction", "target"]
+)
+def test_replay_rejects_an_index_out_of_range(kind, past_end):
+    cert = lie_closure(shear_generator_family(3, 2), 3, targets=monomial_field_targets(2, 3))
+    doc = json.loads(json.dumps(cert.to_json_dict()))
+    assert replay_closure(closure_from_json_dict(doc))
+    _set_index(doc, kind, past_end)
+    assert not replay_closure(closure_from_json_dict(doc))
+
+
 # ---------------------------------------------------------------------------
 # lie_closure against a plain reference loop
 # ---------------------------------------------------------------------------
@@ -448,6 +484,23 @@ class TestOrbitSpan:
         b = orbit_span_closure([e2, e1], [m2, m1])
         assert a.dimension == b.dimension
         assert a.basis == b.basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exact_det_matches_the_determinant_polynomial(data):
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(
+        st.lists(st.lists(gaussian_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    if data.draw(st.booleans()):
+        # singular: the zero 1x1 matrix, or one row a multiple (possibly zero) of another
+        i, j = data.draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+        c = Scalar.exact(0) if n == 1 else data.draw(gaussian_rationals)
+        rows[j] = [c * x for x in rows[i]]
+        assert _exact_det(rows).is_zero()
+    point = [x for row in rows for x in row]
+    assert _exact_det(rows) == determinant_poly(n).evaluate(point)
 
 
 class TestSpecialLinearDemo:
