@@ -93,6 +93,17 @@ GOLDEN = [
         {"-o": "c5f92725d9b941b11ebe50794f30947d4baa06fdb2a2bcaa31e2d623cf21fb0c"},
         id="sl-demo-n3",
     ),
+    pytest.param(
+        ["sl-demo", "-n", "6", "--trials", "2"],
+        {"-o": "dabb1e0f193f90bfae5609116f6772b5706186c36c18630c0a6843006eb84583"},
+        id="sl-demo-n6",
+    ),
+    # the default 50 trials
+    pytest.param(
+        ["sl-demo", "-n", "2"],
+        {"-o": "1b918139be6eb136a490460347f2112ac9b488890ca665185ada9e6373de13d0"},
+        id="sl-demo-n2",
+    ),
 ]
 
 
