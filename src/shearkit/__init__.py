@@ -43,7 +43,6 @@ from .density import (
     IdentityCheck,
     LieClosureCertificate,
     OrbitSpanReport,
-    VarietyCheck,
     check_compatibility,
     determinant_poly,
     isotropy_update,
@@ -56,7 +55,6 @@ from .density import (
     shear_generator_family,
     sl_pair_derivations,
     verify_compat_identity,
-    verify_on_variety,
     verify_shear_identity,
 )
 from .subvariety import (

@@ -29,6 +29,11 @@ EXIT_OK = 0
 EXIT_NOT_ESTABLISHED = 1
 EXIT_USAGE = 2
 
+SL_DEMO_NOTE = (
+    "verified by exact evaluation at sampled variety points; "
+    "this is randomized identity-testing evidence, not a proof"
+)
+
 
 def _require_positive(args, *names: str) -> None:
     for name in names:
@@ -176,21 +181,19 @@ def _run_sl_demo(args) -> int:
     n = args.n
     d1, d2 = density.sl_pair_derivations(n)
     det = density.determinant_poly(n)
-    det_minus_one = det - parse_poly("1", n * n)
+    # sample_sl_points solves each point onto det = 1 exactly, so no premise is re-checked
     points = density.sample_sl_points(n, args.trials, args.seed)
-    zero = density.VectorField.zero(n * n)
     images = [d1.apply(det), d2.apply(det)]
-    # one field holds both images, so the points' premise is checked once
-    tangency = density.verify_on_variety(
-        density.VectorField(images + list(zero.components[2:])), zero, [det_minus_one], points
-    )
     tangency_symbolic = all(image.is_zero() for image in images)
+    tangency_on_samples = all(
+        image.evaluate(point).is_zero() for point in points for image in images
+    )
     a = density.matrix_variable(n, 0, 0)
     b = d1.apply(a)
     witness_ok = (
         d2.apply(a).is_zero() and not b.is_zero() and d1.apply(b).is_zero()
     )
-    holds = tangency_symbolic and tangency.holds_on_samples and witness_ok
+    holds = tangency_symbolic and tangency_on_samples and witness_ok
     _emit(
         {
             "schema_version": serialize.SCHEMA_VERSION,
@@ -198,14 +201,14 @@ def _run_sl_demo(args) -> int:
             "n": n,
             "points_tested": len(points),
             "tangency_symbolic": tangency_symbolic,
-            "tangency_on_samples": tangency.holds_on_samples,
+            "tangency_on_samples": tangency_on_samples,
             "witness": {
                 "a": serialize.poly_to_text(a),
                 "b": serialize.poly_to_text(b),
                 "holds": witness_ok,
             },
             "holds": holds,
-            "note": tangency.note,
+            "note": SL_DEMO_NOTE,
             "seed": args.seed,
         },
         args.output,

@@ -37,7 +37,7 @@ from .fields import (
     shear_pair_residual,
 )
 from .linalg import TrackedSpan, nullspace, rref
-from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, grlex_key
+from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, _trusted_poly, grlex_key
 from .scalars import ZERO, Scalar
 from . import serialize
 
@@ -63,8 +63,6 @@ __all__ = [
     "matrix_variable",
     "sl_pair_derivations",
     "sample_sl_points",
-    "VarietyCheck",
-    "verify_on_variety",
     "DEFAULT_BRACKET_DEPTH",
 ]
 
@@ -825,7 +823,7 @@ def determinant_poly(n: int) -> Poly:
         for row, col in enumerate(perm):
             exp[row * n + col] += 1
         terms[tuple(exp)] = sign
-    return Poly(nvars, terms)
+    return _trusted_poly(nvars, terms)
 
 
 def sl_pair_derivations(n: int) -> tuple[VectorField, VectorField]:
@@ -899,42 +897,3 @@ def sample_sl_points(n: int, count: int, seed: int = 1729) -> list[tuple[Scalar,
         assert (_exact_det(entries) - Scalar.exact(1)).is_zero()
         points.append(tuple(value for row in entries for value in row))
     return points
-
-
-@dataclass(frozen=True)
-class VarietyCheck:
-    """Sampled-evaluation verdict; evidence, not a proof."""
-
-    holds_on_samples: bool
-    points_tested: int
-    failures: tuple[tuple[int, int], ...]
-    note: str = (
-        "verified by exact evaluation at sampled variety points; "
-        "this is randomized identity-testing evidence, not a proof"
-    )
-
-
-def verify_on_variety(
-    lhs: VectorField,
-    rhs: VectorField,
-    ideal_generators: Sequence[Poly],
-    points: Sequence[Sequence[Scalar]],
-) -> VarietyCheck:
-    """Evaluate lhs - rhs at sampled points of the variety, exactly."""
-    if lhs.nvars != rhs.nvars:
-        raise ArityMismatch("fields disagree on variable count")
-    for p_idx, point in enumerate(points):
-        for g_idx, gen in enumerate(ideal_generators):
-            if not gen.evaluate(point).is_zero():
-                raise PreconditionError(
-                    f"point {p_idx} does not annihilate ideal generator {g_idx}"
-                )
-    diff = lhs - rhs
-    failures = []
-    for p_idx, point in enumerate(points):
-        for c_idx, comp in enumerate(diff.components):
-            if not comp.evaluate(point).is_zero():
-                failures.append((p_idx, c_idx))
-    return VarietyCheck(not failures, len(points), tuple(failures))
-
-

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArityMismatch, PreconditionError, RegimeMismatch, ShearKitError
-from .fields import VectorField, shear_pair_fields, shear_pair_residual
+from .fields import VectorField, _as_exact_scalar, shear_pair_fields, shear_pair_residual
 from .poly import Poly, grlex_key
 from .scalars import Scalar
 from . import serialize
@@ -222,14 +222,7 @@ class AutoSeq:
         for element in reversed(self.elements):
             if not isinstance(element, ShearFlow):
                 raise RegimeMismatch("exact evaluation supports shear elements only")
-            t = element.time
-            if isinstance(t, Scalar):
-                time = t
-            elif isinstance(t, complex) or isinstance(t, float):
-                raise RegimeMismatch("exact evaluation needs exact times")
-            else:
-                time = Scalar.exact(t)
-            z = element.apply_exact(z, time)
+            z = element.apply_exact(z, _as_exact_scalar(element.time))
         return z
 
     def inverse(self) -> "AutoSeq":
@@ -592,9 +585,11 @@ def integrate_flow(
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log(y) against log(x); needs >= 3 points."""
+    """Least-squares slope of log(y) against log(x); needs >= 3 distinct xs."""
     if len(xs) < 3 or len(xs) != len(ys):
         raise PreconditionError("slope fitting needs at least three matched samples")
+    if len(set(xs)) != len(xs):
+        raise PreconditionError(f"slope fitting needs distinct x values, got {list(xs)}")
     floor = 1e-300
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.maximum(np.asarray(ys, dtype=float), floor))

@@ -92,50 +92,25 @@ class VectorField:
         """Derivation action: sum_i V_i * df/dx_i."""
         if f.nvars != self.nvars:
             raise ArityMismatch(f"polynomial uses {f.nvars} variables, field {self.nvars}")
-        total = Poly.zero(self.nvars)
-        for i, comp in enumerate(self.components):
-            if comp.is_zero():
-                continue
-            df = f.partial(i)
-            if df.is_zero():
-                continue
-            total = total + comp * df
-        return total
+        acc: dict[tuple[int, ...], Scalar] = {}
+        _add_derivative(acc, self.components, f, 1)
+        return _trusted_poly(self.nvars, {exp: c for exp, c in acc.items() if c})
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [self, other], componentwise self(W_k) - other(V_k).
 
-        Accumulates [V, W]_k = sum_j V_j dW_k/dx_j - W_j dV_k/dx_j term by
-        term into one exponent -> coefficient dict per component, with no
-        intermediate polynomial.  The arithmetic is exact, so the result
-        does not depend on the order in which terms are summed.
+        Both actions accumulate into one exponent -> coefficient dict per
+        component, with no intermediate polynomial.  The arithmetic is
+        exact, so the result does not depend on the order of summation.
         """
         self._check_arity(other)
-        n = self.nvars
-        sums: list[dict[tuple[int, ...], Scalar]] = [{} for _ in range(n)]
-        for a, b, sign in ((self.components, other.components, 1),
-                           (other.components, self.components, -1)):
-            # sign * a_j * d(b_k)/dx_j, for every j and k
-            for j, a_j in enumerate(a):
-                a_terms = a_j.terms
-                if not a_terms:
-                    continue
-                for b_k, acc in zip(b, sums):
-                    for exp, coeff in b_k.terms.items():
-                        power = exp[j]
-                        if not power:
-                            continue
-                        lowered = list(exp)
-                        lowered[j] = power - 1
-                        factor = coeff * (sign * power)
-                        for a_exp, a_coeff in a_terms.items():
-                            key = tuple(map(add, a_exp, lowered))
-                            term = a_coeff * factor
-                            cur = acc.get(key)
-                            acc[key] = term if cur is None else cur + term
-        return VectorField(
-            [_trusted_poly(n, {exp: c for exp, c in acc.items() if c}) for acc in sums]
-        )
+        out = []
+        for v_k, w_k in zip(self.components, other.components):
+            acc: dict[tuple[int, ...], Scalar] = {}
+            _add_derivative(acc, self.components, w_k, 1)
+            _add_derivative(acc, other.components, v_k, -1)
+            out.append(_trusted_poly(self.nvars, {exp: c for exp, c in acc.items() if c}))
+        return VectorField(out)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):
@@ -179,6 +154,35 @@ class VectorField:
 
     def __repr__(self) -> str:
         return f"VectorField({format_vector_field(self)!r})"
+
+
+def _add_derivative(
+    acc: dict[tuple[int, ...], Scalar], components: Sequence[Poly], f: Poly, sign: int
+) -> None:
+    """Add sign * sum_j components[j] * df/dx_j into `acc`, term by term.
+
+    This is the one implementation of the derivation action; `acc` may
+    end up holding zero coefficients, which the caller drops.
+    """
+    f_terms = f.terms
+    if not f_terms:
+        return
+    for j, comp in enumerate(components):
+        c_terms = comp.terms
+        if not c_terms:
+            continue
+        for exp, coeff in f_terms.items():
+            power = exp[j]
+            if not power:
+                continue
+            lowered = list(exp)
+            lowered[j] = power - 1
+            factor = coeff * (sign * power)
+            for c_exp, c_coeff in c_terms.items():
+                key = tuple(map(add, c_exp, lowered))
+                term = c_coeff * factor
+                cur = acc.get(key)
+                acc[key] = term if cur is None else cur + term
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
@@ -393,7 +397,7 @@ def _as_exact_scalar(t) -> Scalar:
         return t
     if isinstance(t, (int, Fraction)):
         return Scalar.exact(t)
-    raise RegimeMismatch("symbolic flows take exact time values")
+    raise RegimeMismatch("exact flows take exact time values")
 
 
 def flow_nilpotent(field: VectorField, t, cap: int = DEFAULT_NILPOTENCY_CAP, verify: bool = True) -> PolyMap:
@@ -452,19 +456,12 @@ def flow_semisimple(weights: Sequence[int], lam: Scalar) -> PolyMap:
 
 
 def pushforward(field: VectorField, phi: PolyMap) -> VectorField:
-    """Conjugated field (Dphi . V) o phi^{-1}; phi must carry its inverse."""
+    """Conjugated field (Dphi . V) o phi^{-1}; phi must carry its inverse.
+
+    Component k of Dphi . V is V(phi_k).
+    """
     if phi.inverse is None:
         raise PreconditionError("pushforward needs a map with a stored exact inverse")
-    if field.nvars != phi.nvars:
-        raise ArityMismatch("field and map disagree on variable count")
-    n = field.nvars
-    pushed = []
-    for k in range(n):
-        total = Poly.zero(n)
-        for j in range(n):
-            dkj = phi.components[k].partial(j)
-            if dkj.is_zero() or field.components[j].is_zero():
-                continue
-            total = total + dkj * field.components[j]
-        pushed.append(total.substitute(phi.inverse.components))
-    return VectorField(pushed)
+    return VectorField(
+        [field.apply(phi_k).substitute(phi.inverse.components) for phi_k in phi.components]
+    )

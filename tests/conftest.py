@@ -93,10 +93,18 @@ def numeric_bracket(v, w, point, h=1e-6):
     return [a - b for a, b in zip(dw_v, dv_w)]
 
 
+def model_apply(v, f):
+    """V(f) = sum_i V_i * df/dx_i with Poly operations; independent of `VectorField.apply`."""
+    total = Poly.zero(v.nvars)
+    for i, comp in enumerate(v.components):
+        total = total + comp * f.partial(i)
+    return total
+
+
 def bracket_by_definition(v, w):
-    """[V, W]_k = V(W_k) - W(V_k), through the derivation action."""
+    """[V, W]_k = V(W_k) - W(V_k), through the model derivation action."""
     return VectorField(
-        [v.apply(w_k) - w.apply(v_k) for v_k, w_k in zip(v.components, w.components)]
+        [model_apply(v, w_k) - model_apply(w, v_k) for v_k, w_k in zip(v.components, w.components)]
     )
 
 

@@ -291,6 +291,8 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
         (["approx", "--field", "[0; x2^2]", "-T", "nan"], None),
         (["approx", "--field", "[x1*x2; x2^2]", "--radius", "3", "--substeps", "2,4,8",
           "--points", "5"], None),
+        # one distinct step count leaves the fitted order undefined
+        (["approx", "--field", "[0; x2^2]", "--substeps", "8,8,8"], None),
         (["basin", "--builtin", "radial-contraction", "--attract-radius", "nan"], None),
         (["basin", "--builtin", "radial-contraction", "--escape-radius", "inf"], None),
         (["basin", "--builtin", "radial-contraction", "--escape-radius", "-1"], None),
@@ -305,7 +307,8 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
             {"kind": "shear", "axis": 1, "coeff": "x2", "time": [float("nan"), 0]}]}),
     ],
     ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
-         "approx-time-nan", "approx-values-overflow", "basin-attract-nan", "basin-escape-inf", "basin-escape-negative",
+         "approx-time-nan", "approx-values-overflow", "approx-substeps-repeated",
+         "basin-attract-nan", "basin-escape-inf", "basin-escape-negative",
          "basin-u-nan", "basin-v-inf", "grid-u-range-nan", "grid-origin-inf",
          "map-factor-inf", "map-time-nan"],
 )

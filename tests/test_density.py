@@ -24,7 +24,6 @@ from shearkit.density import (
     shear_generator_family,
     sl_pair_derivations,
     verify_compat_identity,
-    verify_on_variety,
     verify_shear_identity,
 )
 from shearkit.errors import PreconditionError
@@ -535,22 +534,3 @@ class TestSpecialLinearDemo:
         assert d1.apply(matrix_variable(2, 0, 0)) == matrix_variable(2, 1, 0)
         assert d1.apply(matrix_variable(2, 1, 0)).is_zero()
         assert d2.apply(matrix_variable(2, 1, 1)) == matrix_variable(2, 0, 1)
-
-    def test_verify_on_variety_detects_perturbation(self):
-        d1, _ = sl_pair_derivations(2)
-        det = determinant_poly(2)
-        ideal = [det - P("1", 4)]
-        points = sample_sl_points(2, 50, seed=3)
-        same = verify_on_variety(d1, d1, ideal, points)
-        assert same.holds_on_samples and same.points_tested == 50
-        perturbed = d1 + VectorField.monomial(4, 0, P("x1", 4))
-        broken = verify_on_variety(d1, perturbed, ideal, points)
-        assert not broken.holds_on_samples
-        assert broken.failures
-
-    def test_off_variety_point_is_a_precondition_error(self):
-        d1, d2 = sl_pair_derivations(2)
-        det = determinant_poly(2)
-        bad_point = [Scalar.exact(1)] * 4
-        with pytest.raises(PreconditionError):
-            verify_on_variety(d1, d2, [det - P("1", 4)], [bad_point])

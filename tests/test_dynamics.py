@@ -592,3 +592,9 @@ def test_batched_convergence_matches_the_per_point_loop(field_text, scheme):
     assert (report.step_counts, report.radius, report.sample_count, report.seed) == (
         (4, 8, 16), 0.5, 12, 7
     )
+
+
+@pytest.mark.parametrize("xs", [[8, 8, 8], [8, 16, 8]])
+def test_slope_fit_refuses_repeated_xs(xs):
+    with pytest.raises(PreconditionError):
+        fit_loglog_slope(xs, [1.0, 0.5, 0.25])

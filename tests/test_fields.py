@@ -25,6 +25,7 @@ from shearkit.scalars import Scalar
 from conftest import (
     bracket_by_definition,
     gaussian_rationals,
+    model_apply,
     model_nullspace,
     numeric_bracket,
     random_exact_poly,
@@ -337,11 +338,30 @@ def test_lie_bracket_function_alias():
 # ---------------------------------------------------------------------------
 
 
-def _fields(nvars):
-    poly = st.dictionaries(
+def _polys(nvars):
+    """Polynomials of degree <= 3 per variable with at most 4 terms; zero included."""
+    return st.dictionaries(
         st.tuples(*[st.integers(0, 3)] * nvars), gaussian_rationals, max_size=4
     ).map(lambda terms: Poly(nvars, terms))
-    return st.lists(poly, min_size=nvars, max_size=nvars).map(VectorField)
+
+
+def _fields(nvars):
+    return st.lists(_polys(nvars), min_size=nvars, max_size=nvars).map(VectorField)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_fields(n), _polys(n))))
+@example((F("[1]"), P("x1^3", 1)))
+@example((F("[x2; -x1]"), P("x1^2 + x2^2", 2)))  # the images cancel
+@example((F("[0; (1+i)*x1]"), P("x1*x2^2 - i*x2", 2)))
+@example((F("[x1; x2; x3]"), Poly.zero(3)))
+@example((F("[0; 0]"), P("x1*x2", 2)))
+def test_apply_matches_the_model(case):
+    v, f = case
+    image = v.apply(f)
+    assert image == model_apply(v, f)
+    assert image.nvars == v.nvars
+    assert all(not coeff.is_zero() for coeff in image.terms.values())
 
 
 @st.composite
@@ -385,7 +405,7 @@ def test_bracket_kernel_matches_the_definition(pair):
 def _dense_kernel_basis(field, degree):
     """Kernel from the dense matrix of monomial images, by the test-side model."""
     basis = MonomialBasis(field.nvars, degree).exponents
-    images = [field.apply(Poly.monomial(field.nvars, exp, Scalar.exact(1))) for exp in basis]
+    images = [model_apply(field, Poly.monomial(field.nvars, exp, Scalar.exact(1))) for exp in basis]
     monomials = sorted({mon for image in images for mon in image.terms}, key=grlex_key)
     rows = [[image.coefficient(mon) for image in images] for mon in monomials]
     kernel = [
