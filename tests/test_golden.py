@@ -2,17 +2,30 @@
 
 A refactor that keeps every verdict must also keep these hashes.  A change
 that moves one on purpose says which one and why.  An argument containing
-``{work}`` names a file in the test's directory; the 3-variable shear family
-at degree 3 is written there as ``shear3-D3.txt``.
+``{work}`` names a file in the test's directory: the 3-variable shear family
+at degree 3 is written there as ``shear3-D3.txt``, the map of `MAP` as
+``map.json`` and the isotopy of `ISOTOPY` as ``iso.json``.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from shearkit.cli import EXIT_OK, run
 from shearkit.density import shear_generator_family
 from shearkit.fields import format_vector_field
+
+# a diagonal, a shear with an exponent 3 and an overshear: 901 points attracted, 288 escaped
+MAP = {
+    "nvars": 2,
+    "elements": [
+        {"kind": "diagonal", "weights": [1, 1], "factor": [0.5, 0.0]},
+        {"kind": "shear", "axis": 2, "coeff": "x1^3", "time": [1.0, 0.0]},
+        {"kind": "overshear", "axis": 1, "coeff": "x2", "time": [0.5, 0.0]},
+    ],
+}
+ISOTOPY = {"fields": ["[0; x2^2]", "[x2; 0]"]}
 
 GOLDEN = [
     pytest.param(
@@ -104,6 +117,34 @@ GOLDEN = [
         {"-o": "1b918139be6eb136a490460347f2112ac9b488890ca665185ada9e6373de13d0"},
         id="sl-demo-n2",
     ),
+    # a non-square grid under the only diagonal-only builtin map
+    pytest.param(
+        ["basin", "--builtin", "radial-contraction", "--nu", "37", "--nv", "23"],
+        {
+            "--csv": "a944b5d31ce52f9c42169123dadb2548d52d8a8498184b5f041c28aff0375563",
+            "--pgm": "cf90563e302b6c3e4e0b295f8a60bbacc58e53f4295536036bef2eb0445c4baa",
+        },
+        id="basin-radial-37x23",
+    ),
+    pytest.param(
+        ["basin", "--map", "{work}/map.json", "--nu", "41", "--nv", "29"],
+        {
+            "--csv": "a52aef79d01375e49c24f166d0c5f9bd9d112a4aa89b81e248ae6112f2d80b78",
+            "--pgm": "b90acd3b68c22c408c5719eee143da1c34094d1ecfd6f6c0576d30dde5af29b5",
+        },
+        id="basin-map-file",
+    ),
+    pytest.param(
+        ["approx", "--field", "[x1*x2; x2^2]", "--substeps", "4,8,16", "--points", "10"],
+        {"-o": "2e59aec22734ffa4a1d08019e2428a61ad2649e8664c89c333e2a5d745ce7dd5"},
+        id="approx-field",
+    ),
+    pytest.param(
+        ["approx", "--isotopy", "{work}/iso.json", "--steps", "2", "--substeps", "4,8,16",
+         "--points", "10"],
+        {"-o": "4621ef53e1cb841e54513b53c9785b7e1ecdde30d393b8f702e928a6666704c9"},
+        id="approx-isotopy",
+    ),
 ]
 
 
@@ -111,6 +152,8 @@ GOLDEN = [
 def test_artifact_bytes_are_pinned(tmp_path, argv, outputs):
     family = [format_vector_field(g) for g in shear_generator_family(3, 3)]
     (tmp_path / "shear3-D3.txt").write_text("\n".join(family) + "\n", encoding="utf-8")
+    (tmp_path / "map.json").write_text(json.dumps(MAP), encoding="utf-8")
+    (tmp_path / "iso.json").write_text(json.dumps(ISOTOPY), encoding="utf-8")
     argv = [part.replace("{work}", str(tmp_path)) for part in argv]
     paths = {flag: tmp_path / f"out{i}" for i, flag in enumerate(outputs)}
     extra = [part for flag, path in paths.items() for part in (flag, str(path))]
