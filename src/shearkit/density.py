@@ -38,7 +38,7 @@ from .fields import (
 )
 from .linalg import TrackedSpan, nullspace, rref
 from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, _trusted_poly, grlex_key
-from .scalars import ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 from . import serialize
 
 __all__ = [
@@ -813,16 +813,23 @@ def determinant_poly(n: int) -> Poly:
             f"more than {MAX_BASIS_SIZE}"
         )
     nvars = n * n
+    signs = (ONE, -ONE)
     terms: dict[tuple[int, ...], Scalar] = {}
     for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        sign = Scalar.exact(-1 if inversions % 2 else 1)
+        # the sign is (-1)^(n - cycles); each entry is visited once
+        seen = [False] * n
+        parity = n
+        for start in range(n):
+            if not seen[start]:
+                parity -= 1
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = perm[j]
         exp = [0] * nvars
         for row, col in enumerate(perm):
             exp[row * n + col] += 1
-        terms[tuple(exp)] = sign
+        terms[tuple(exp)] = signs[parity & 1]
     return _trusted_poly(nvars, terms)
 
 

@@ -15,9 +15,11 @@ over m substeps and measuring against an independent Runge-Kutta oracle
 quantifies the approximation; iterating an attracting composition
 samples its basin, a Fatou-Bieberbach style domain.
 
-Every elementary flow has one numeric body, `apply_array`, on an
-(nvars, k) complex array of k points; `apply` evaluates one point as a
-one-column batch, so single points and batches share their arithmetic.
+Every elementary flow has one numeric body, the in-place `update`, on an
+(nvars, k) complex array of k points; `apply_array` runs it on a copy,
+`AutoSeq.apply_array` runs every factor's on one copy, and `apply`
+evaluates one point as a one-column batch, so single points and batches
+share their arithmetic.
 `apply_exact` is the separate exact-Scalar regime for shears.  The
 Runge-Kutta oracle `integrate_flow` is batched the same way, with step
 control per point.
@@ -92,6 +94,13 @@ def _apply_point(flow, point: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(flow.apply_array(column)[:, 0].tolist())
 
 
+def _apply_array(flow, points: np.ndarray) -> np.ndarray:
+    """Evaluate `flow.update` on a copy of `points`."""
+    out = points.copy()
+    flow.update(out)
+    return out
+
+
 @dataclass(frozen=True)
 class ShearFlow:
     """Exact time-t flow of coeff * d/dx_axis with coeff free of x_axis.
@@ -108,11 +117,11 @@ class ShearFlow:
     def __post_init__(self):
         _shear_coefficient(self.axis, self.coeff)
 
-    def apply_array(self, points: np.ndarray) -> np.ndarray:
-        out = points.copy()
-        out[self.axis] += _time_complex(self.time) * self.coeff.eval_complex(points)
-        return out
+    def update(self, z: np.ndarray) -> None:
+        # the coefficient is free of x_axis, so it may be read before the add
+        z[self.axis] += _time_complex(self.time) * self.coeff.eval_complex(z)
 
+    apply_array = _apply_array
     apply = _apply_point
 
     def apply_exact(self, point: Sequence[Scalar], time: Scalar) -> tuple[Scalar, ...]:
@@ -139,11 +148,10 @@ class OvershearFlow:
     def __post_init__(self):
         _shear_coefficient(self.axis, self.coeff)
 
-    def apply_array(self, points: np.ndarray) -> np.ndarray:
-        out = points.copy()
-        out[self.axis] *= np.exp(self.time * self.coeff.eval_complex(points))
-        return out
+    def update(self, z: np.ndarray) -> None:
+        z[self.axis] *= np.exp(self.time * self.coeff.eval_complex(z))
 
+    apply_array = _apply_array
     apply = _apply_point
 
     def inverse(self) -> "OvershearFlow":
@@ -161,10 +169,10 @@ class DiagonalFlow:
         if self.factor == 0:
             raise PreconditionError("diagonal flow needs a nonzero factor")
 
-    def apply_array(self, points: np.ndarray) -> np.ndarray:
-        scales = np.array([self.factor**w for w in self.weights])
-        return points * scales[:, None]
+    def update(self, z: np.ndarray) -> None:
+        z *= np.array([self.factor**w for w in self.weights])[:, None]
 
+    apply_array = _apply_array
     apply = _apply_point
 
     def inverse(self) -> "DiagonalFlow":
@@ -211,9 +219,9 @@ class AutoSeq:
     def apply_array(self, points: np.ndarray) -> np.ndarray:
         if points.shape[0] != self.nvars:
             raise ArityMismatch("point array has the wrong leading dimension")
-        out = points
+        out = points.copy()
         for element in reversed(self.elements):
-            out = element.apply_array(out)
+            element.update(out)
         return out
 
     def apply_exact(self, point: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -906,16 +914,22 @@ class BasinResult:
 
     def write_csv(self, path) -> None:
         u, v = self.grid.parameters()
-        heads = [f"{col},{x:.17g}," for col, x in enumerate(u.tolist())]
+        # one ",class,iters" tail per distinct pair on the grid, so the
+        # table is bounded by the grid size and not by max_iter
+        keys, index = np.unique(
+            self.iterations.ravel() * 256 + self.codes.ravel(), return_inverse=True
+        )
+        table = np.array([f",{_CODE_LABELS[k & 255]},{k >> 8}\n" for k in keys.tolist()], dtype=object)
+        tails = table[index.reshape(-1)].reshape(self.codes.shape)
+        # the columns of a line: row, "col,re," head, im, tail
+        parts = np.empty((self.grid.nu, 4), dtype=object)
+        parts[:, 1] = [f"{col},{x:.17g}," for col, x in enumerate(u.tolist())]
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("row,col,re,im,class,iters\n")
             # one joined string per row keeps the peak memory flat
-            for row, tail in enumerate([f"{y:.17g}" for y in v.tolist()]):
-                labels, iters = _CODE_LABELS[self.codes[row]].tolist(), self.iterations[row].tolist()
-                handle.write("".join([
-                    f"{row},{head}{tail},{label},{n}\n"
-                    for head, label, n in zip(heads, labels, iters)
-                ]))
+            for row, y in enumerate(v.tolist()):
+                parts[:, 0], parts[:, 2], parts[:, 3] = f"{row},", f"{y:.17g}", tails[row]
+                handle.write("".join(parts.ravel().tolist()))
 
     def write_pgm(self, path) -> None:
         header = f"P5\n{self.grid.nu} {self.grid.nv}\n255\n".encode("ascii")

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArityMismatch, ParseError, PreconditionError
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 __all__ = [
     "Poly",
@@ -222,17 +222,25 @@ class Poly:
         runs over its rows, so the value is an array of k values.  A
         constant polynomial (zero included) never touches the rows and
         returns one complex scalar instead, which broadcasts against them.
+
+        No step multiplies by a unit coefficient, raises to the power 1 or
+        adds to a zero seed, so the value may be an input row itself (for
+        x_j alone): callers must not write into it.  Dropping those steps
+        can flip the sign of a zero and changes no other finite value.
         """
         if len(point) != self.nvars:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
-        total = 0j
+        total = None
         for exp, coeff in self.terms.items():
-            term = coeff.to_complex()
+            term = None if coeff == ONE else coeff.to_complex()
             for value, e in zip(point, exp):
                 if e:
-                    term *= value**e
-            total += term
-        return total
+                    factor = value if e == 1 else value**e
+                    term = factor if term is None else term * factor
+            if term is None:
+                term = 1 + 0j
+            total = term if total is None else total + term
+        return 0j if total is None else total
 
     def substitute(self, components: Sequence["Poly"]) -> "Poly":
         """Compose with a polynomial map: returns self(components[0], ...)."""

@@ -108,6 +108,19 @@ def bracket_by_definition(v, w):
     )
 
 
+def model_eval_complex(poly, point):
+    """Term-by-term numeric evaluation from a 0j seed, every factor applied:
+    the reference for `Poly.eval_complex`, which skips the identity steps."""
+    total = 0j
+    for exp, coeff in poly.terms.items():
+        term = coeff.to_complex()
+        for value, e in zip(point, exp):
+            if e:
+                term *= value**e
+        total += term
+    return total
+
+
 def model_rref(rows):
     """Dense Gauss-Jordan reference: (reduced nonzero rows, pivot columns)."""
     work = [list(row) for row in rows]

@@ -115,6 +115,18 @@ def test_files_match_the_per_point_writer(nu, nv, u_range, v_range, max_iter):
         assert pgm.read_bytes() == _reference_pgm(result)
 
 
+def test_csv_table_is_bounded_by_the_grid_not_by_max_iter():
+    # a table indexed by (code, iteration) up to max_iter would need 256e9 entries
+    grid = GridSpec.real_plane(2, 3, 2, (-3, 3), (-3, 3))
+    result = basin_sample(radial_contraction(), (0, 0), grid, max_iter=10**9)
+    assert result.classes.tolist() == [["attracted"] * 3] * 2
+    assert result.iterations.max() <= 16
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "basin.csv"
+        result.write_csv(csv)
+        assert csv.read_bytes() == _reference_csv(result)
+
+
 def test_counts_tally_the_codes_in_a_fixed_key_order():
     grid = GridSpec.real_plane(2, 9, 7, (-3, 3), (-3, 3))
     result = basin_sample(attracting_shear_composition(), (0, 0), grid, max_iter=5)

@@ -545,6 +545,24 @@ def test_single_point_is_a_column_of_the_batch(case):
         assert np.array(point).tobytes() == np.array(folded).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(sequences_and_batches())
+# a unit shear by x2, whose coefficient evaluates to the batch's own row
+@example((AutoSeq(2, [ShearFlow(0, P("x2", 2), 0.5), OvershearFlow(1, P("x1", 2), 0.25j),
+                      DiagonalFlow((1, 2), 0.5 + 0.5j), ShearFlow(1, P("x1", 2), 1)]),
+          np.array([[1 + 2j, -0.5j, 0.0], [3.0, 4 - 1j, -2j]])))
+def test_numeric_flows_leave_their_input_unchanged(case):
+    seq, batch = case
+    before = batch.tobytes()
+    with np.errstate(all="ignore"):
+        seq.apply_array(batch)
+        for flow in seq.elements:
+            flow.apply_array(batch)
+        field = F("[x1*x2; x1]" if seq.nvars == 2 else "[x2*x3; x1; 0]")
+        integrate_flow(lambda _t: field, batch, 0.1, max_doublings=2)
+    assert batch.tobytes() == before
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(
     lambda n: st.tuples(polys(n), st.lists(st.tuples(*[small_complex] * n), min_size=1, max_size=6))

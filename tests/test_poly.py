@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,7 @@ from shearkit.errors import ArityMismatch, ParseError
 from shearkit.poly import MonomialBasis, Poly, format_poly, parse_poly
 from shearkit.scalars import Scalar
 
-from conftest import random_exact_poly
+from conftest import gaussian_rationals, model_eval_complex, random_exact_poly
 
 
 def P(text, n):
@@ -167,6 +168,53 @@ class TestEvaluation:
         exact = p.evaluate([Scalar.exact(1, 1), Scalar.exact(3)])
         numeric = p.eval_complex([1 + 1j, 3 + 0j])
         assert abs(exact.to_complex() - numeric) < 1e-12
+
+
+# up to 1e100, so that a cube stays finite (a Python complex power raises
+# OverflowError past the float range) while a product of cubes overflows
+_part = st.floats(-1e100, 1e100, allow_subnormal=False) | st.sampled_from([0.0, -0.0, 1.0])
+_value = st.builds(complex, _part, _part)
+
+
+@st.composite
+def _evaluation_cases(draw):
+    """A polynomial with exponents 0-3 and coefficients that include exactly 1,
+    and points as tuples or as an (nvars, k) batch."""
+    nvars = draw(st.integers(1, 3))
+    coeff = st.just(Scalar.exact(1)) | gaussian_rationals
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    poly = Poly(nvars, draw(st.dictionaries(exps, coeff, max_size=4)))
+    points = draw(st.lists(st.tuples(*[_value] * nvars), min_size=1, max_size=5))
+    return poly, points
+
+
+def _same_where_finite(value, expected):
+    value, expected = np.asarray(value), np.asarray(expected)
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.isfinite(value), finite)
+    assert np.array_equal(value[finite], expected[finite])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_evaluation_cases())
+def test_eval_complex_matches_the_model_where_finite(case):
+    poly, points = case
+    for point in points:
+        _same_where_finite(poly.eval_complex(point), model_eval_complex(poly, point))
+    batch = np.array(points, dtype=complex).T
+    before = batch.tobytes()
+    with np.errstate(all="ignore"):
+        value = poly.eval_complex(batch)
+        assert batch.tobytes() == before
+        expected = model_eval_complex(poly, batch)
+    _same_where_finite(np.broadcast_to(value, len(points)), np.broadcast_to(expected, len(points)))
+
+
+def test_eval_complex_of_a_variable_is_its_row():
+    batch = np.array([[1 + 2j, -0.5j], [3.0, 4 - 1j]])
+    assert np.shares_memory(P("x2", 2).eval_complex(batch), batch)
+    assert P("0", 2).eval_complex(batch) == 0j
+    assert P("1", 2).eval_complex(batch) == 1 + 0j
 
 
 class TestSubstitution:
