@@ -816,20 +816,16 @@ def determinant_poly(n: int) -> Poly:
     signs = (ONE, -ONE)
     terms: dict[tuple[int, ...], Scalar] = {}
     for perm in itertools.permutations(range(n)):
-        # the sign is (-1)^(n - cycles); each entry is visited once
-        seen = [False] * n
-        parity = n
-        for start in range(n):
-            if not seen[start]:
-                parity -= 1
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
+        # the sign is (-1)^(n - cycles): each swap below puts one entry in place
+        p, swaps = list(perm), 0
+        for i in range(n):
+            while p[i] != i:
+                j = p[i]
+                p[i], p[j], swaps = p[j], j, swaps + 1
         exp = [0] * nvars
         for row, col in enumerate(perm):
             exp[row * n + col] += 1
-        terms[tuple(exp)] = signs[parity & 1]
+        terms[tuple(exp)] = signs[swaps & 1]
     return _trusted_poly(nvars, terms)
 
 

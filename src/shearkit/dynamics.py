@@ -16,10 +16,9 @@ quantifies the approximation; iterating an attracting composition
 samples its basin, a Fatou-Bieberbach style domain.
 
 Every elementary flow has one numeric body, the in-place `update`, on an
-(nvars, k) complex array of k points; `apply_array` runs it on a copy,
-`AutoSeq.apply_array` runs every factor's on one copy, and `apply`
-evaluates one point as a one-column batch, so single points and batches
-share their arithmetic.
+(nvars, k) complex array of k points; `apply_array` runs it on a copy (one
+copy for a whole `AutoSeq`), and `apply` on a one-column batch, so single
+points and batches share their arithmetic.
 `apply_exact` is the separate exact-Scalar regime for shears.  The
 Runge-Kutta oracle `integrate_flow` is batched the same way, with step
 control per point.
@@ -914,15 +913,11 @@ class BasinResult:
 
     def write_csv(self, path) -> None:
         u, v = self.grid.parameters()
-        # one ",class,iters" tail per distinct pair on the grid, so the
-        # table is bounded by the grid size and not by max_iter
-        keys, index = np.unique(
-            self.iterations.ravel() * 256 + self.codes.ravel(), return_inverse=True
-        )
+        # one ",class,iters" tail per distinct pair on the grid, not per max_iter
+        keys, index = np.unique(self.iterations.ravel() * 256 + self.codes.ravel(), return_inverse=True)
         table = np.array([f",{_CODE_LABELS[k & 255]},{k >> 8}\n" for k in keys.tolist()], dtype=object)
         tails = table[index.reshape(-1)].reshape(self.codes.shape)
-        # the columns of a line: row, "col,re," head, im, tail
-        parts = np.empty((self.grid.nu, 4), dtype=object)
+        parts = np.empty((self.grid.nu, 4), dtype=object)  # row, "col,re," head, im, tail
         parts[:, 1] = [f"{col},{x:.17g}," for col, x in enumerate(u.tolist())]
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("row,col,re,im,class,iters\n")

@@ -222,11 +222,9 @@ class Poly:
         runs over its rows, so the value is an array of k values.  A
         constant polynomial (zero included) never touches the rows and
         returns one complex scalar instead, which broadcasts against them.
-
-        No step multiplies by a unit coefficient, raises to the power 1 or
-        adds to a zero seed, so the value may be an input row itself (for
-        x_j alone): callers must not write into it.  Dropping those steps
-        can flip the sign of a zero and changes no other finite value.
+        No step multiplies by 1, raises to the power 1 or adds to a 0j seed
+        (which only flips signed zeros), so the value may be an input row
+        itself: callers must not write into it.
         """
         if len(point) != self.nvars:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
@@ -237,8 +235,7 @@ class Poly:
                 if e:
                     factor = value if e == 1 else value**e
                     term = factor if term is None else term * factor
-            if term is None:
-                term = 1 + 0j
+            term = 1 + 0j if term is None else term
             total = term if total is None else total + term
         return 0j if total is None else total
 
