@@ -821,7 +821,8 @@ def determinant_poly(n: int) -> Poly:
         for i in range(n):
             while p[i] != i:
                 j = p[i]
-                p[i], p[j], swaps = p[j], j, swaps + 1
+                p[i], p[j] = p[j], j
+                swaps += 1
         exp = [0] * nvars
         for row, col in enumerate(perm):
             exp[row * n + col] += 1

@@ -916,7 +916,7 @@ class BasinResult:
         # one ",class,iters" tail per distinct pair on the grid, not per max_iter
         keys, index = np.unique(self.iterations.ravel() * 256 + self.codes.ravel(), return_inverse=True)
         table = np.array([f",{_CODE_LABELS[k & 255]},{k >> 8}\n" for k in keys.tolist()], dtype=object)
-        tails = table[index.reshape(-1)].reshape(self.codes.shape)
+        tails = table[index].reshape(self.codes.shape)
         parts = np.empty((self.grid.nu, 4), dtype=object)  # row, "col,re," head, im, tail
         parts[:, 1] = [f"{col},{x:.17g}," for col, x in enumerate(u.tolist())]
         with open(path, "w", encoding="utf-8") as handle:

@@ -222,9 +222,9 @@ class Poly:
         runs over its rows, so the value is an array of k values.  A
         constant polynomial (zero included) never touches the rows and
         returns one complex scalar instead, which broadcasts against them.
-        No step multiplies by 1, raises to the power 1 or adds to a 0j seed
-        (which only flips signed zeros), so the value may be an input row
-        itself: callers must not write into it.
+        No step multiplies by 1, raises to the power 1 or adds to a 0j seed;
+        skipping them only flips signed zeros.  So the value may be an input
+        row itself: callers must not write into it.
         """
         if len(point) != self.nvars:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
