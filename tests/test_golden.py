@@ -72,6 +72,17 @@ GOLDEN = [
         {"-o": "795c7558f3861b378282c876a8df7f5f8dadd613f9e3a583143044caabc17dff"},
         id="codim2-axis-d4",
     ),
+    # past the benchmark's sizes: codim2 stops at d=3 there, closure at D=7 with 7 targets
+    pytest.param(
+        ["codim2", "--gens", "x1", "x2", "-n", "3", "-d", "5"],
+        {"-o": "abb154bb1c75275cf5fa3f20074d00ceeb8e150e254eb657f8cc543fbff445d0"},
+        id="codim2-axis-d5",
+    ),
+    pytest.param(
+        ["closure", "--shear-family", "7", "--monomial-targets", "7", "-D", "7"],
+        {"-o": "7eb45f309db69479ef635e2fda0de5eea1509a3b868c3f37106312ae681bcba7"},
+        id="closure-D7",
+    ),
     pytest.param(
         ["verify-identity", "andersen-lempert", "--f1", "x2", "--f2", "x1", "-n", "2"],
         {"-o": "283b51eceeb359e121f2521a9d2c5bbae6012ad980e5deb4af5ffbe25d39b5bc"},
