@@ -43,6 +43,15 @@ def _require_positive(args, *names: str) -> None:
             raise ShearKitError(f"parameter {name} must be positive and finite, got {value}")
 
 
+# grid sizes, iteration counts and substep counts become numpy int64 values or sizes
+MAX_COUNT = 2**63 - 1
+
+
+def _require_count(name: str, *values: int) -> None:
+    if any(value > MAX_COUNT for value in values):
+        raise ShearKitError(f"{name} must be at most {MAX_COUNT}, got {max(values)}")
+
+
 def _emit(document: dict, output: str | None) -> None:
     text = serialize.canonical_dumps(document)
     if output:
@@ -260,6 +269,7 @@ def _run_approx(args) -> int:
     substeps = _parse_int_list(args.substeps)
     if not substeps or any(m < 1 for m in substeps):
         raise ShearKitError("--substeps needs positive step counts, e.g. 8,16,32")
+    _require_count("--substeps", *substeps)
     if args.isotopy:
         doc = serialize.require_keys(
             json.loads(Path(args.isotopy).read_text(encoding="utf-8")),
@@ -303,6 +313,8 @@ def _run_approx(args) -> int:
 
 def _run_basin(args) -> int:
     _require_positive(args, "max_iter", "attract_radius", "escape_radius")
+    _require_count("--max-iter", args.max_iter)
+    _require_count("--nu/--nv", args.nu, args.nv)
     if not all(-math.inf < bound < math.inf for bound in args.u + args.v):
         raise ShearKitError(f"--u and --v must be finite, got {args.u} and {args.v}")
     if args.map:

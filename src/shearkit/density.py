@@ -36,7 +36,7 @@ from .fields import (
     nilpotency_report,
     shear_pair_residual,
 )
-from .linalg import TrackedSpan, nullspace, rref
+from .linalg import TrackedSpan, _eliminate, _sub_scaled, nullspace, rref
 from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, _trusted_poly, grlex_key
 from .scalars import ONE, ZERO, Scalar
 from . import serialize
@@ -501,6 +501,174 @@ def _weight_space_dimension(weight: tuple[int, ...]) -> int:
     )
 
 
+def _pairing(coords: dict[int, Scalar], weight: tuple[int, ...]) -> Scalar:
+    """<c, w> = sum of c_m * w_m."""
+    total = None
+    for m, c in coords.items():
+        if weight[m]:
+            term = c * weight[m]
+            total = term if total is None else total + term
+    return ZERO if total is None else total
+
+
+def _weight_bracket(
+    alpha: tuple[int, ...], c: dict[int, Scalar], beta: tuple[int, ...], d: dict[int, Scalar]
+) -> dict[int, Scalar]:
+    """Weight coordinates of [V, W] for V = (alpha, c) and W = (beta, d).
+
+    The coefficient of x^(alpha + beta + e_k) d/dx_k in [V, W] is
+    sum_i c_i d_k (beta + e_k)_i - d_i c_k (alpha + e_k)_i, so
+    [V, W] = <c, beta> d - <d, alpha> c, of weight alpha + beta.
+    """
+    s = _pairing(c, beta)
+    out = {k: s * v for k, v in d.items()} if s else {}
+    t = _pairing(d, alpha)
+    if t:
+        _sub_scaled(out, t, c)
+    return out
+
+
+def _bracket_rounds(degrees: list[int], degree_cap: int, depth_cap: int, bracket_with) -> int:
+    """Run the bracket rounds over the rows; returns the pairs the degree filter discards.
+
+    Round r brackets each row of depth r - 1 (the frontier) with every
+    earlier row; no earlier row is deeper, so every bracket has depth r.
+    A bracket's degree is at most the sum of its factors' degrees minus
+    one, so row j meets only the earlier rows within `degree_cap`:
+    ``bracket_with(j, near, depth)`` brackets those, appends a degree to
+    `degrees` per new row and returns the brackets it discarded itself.
+    """
+    discarded = 0
+    frontier = list(range(len(degrees)))
+    depth = 1
+    while frontier and depth <= depth_cap:
+        round_start = len(degrees)
+        for j in frontier:
+            room = degree_cap + 1 - degrees[j]
+            near = [i for i in range(j) if degrees[i] <= room]
+            discarded += j - len(near) + bracket_with(j, near, depth)
+        frontier = list(range(round_start, len(degrees)))
+        depth += 1
+    return discarded
+
+
+def _generic_closure(
+    generators: list[VectorField],
+    nonzero: list[int],
+    basis: MonomialBasis,
+    span: TrackedSpan,
+    degree_cap: int,
+    depth_cap: int,
+) -> tuple[list[BasisRecord], int]:
+    """Close under `VectorField.bracket`, reducing monomial coordinates in `span`."""
+    fields: list[VectorField] = []
+    degrees: list[int] = []  # fields[k].degree, which is costly to recompute per pair
+    records: list[BasisRecord] = []
+
+    def insert(raw: VectorField, kind: str, left: int, right: int | None, depth: int) -> None:
+        row = span.insert(_field_coords(raw, basis), source=(kind, left, right))
+        if row is None:
+            return
+        scale = span.scales[row]
+        corrections = tuple(span.corrections[row])
+        combined = raw.scale(scale)
+        for coeff, idx in corrections:
+            combined = combined + fields[idx].scale(coeff)
+        fields.append(combined)
+        degrees.append(combined.degree)
+        records.append(BasisRecord(kind, left, right, scale, corrections, depth))
+
+    def bracket_with(j: int, near: list[int], depth: int) -> int:
+        discarded = 0
+        for i in near:
+            bracket = fields[i].bracket(fields[j])
+            if bracket.is_zero():
+                continue
+            if bracket.degree > degree_cap:
+                discarded += 1
+                continue
+            insert(bracket, "bracket", i, j, depth)
+        return discarded
+
+    for k in nonzero:
+        insert(generators[k], "generator", k, None, 0)
+    return records, _bracket_rounds(degrees, degree_cap, depth_cap, bracket_with)
+
+
+def _graded_closure(
+    generators: list[VectorField],
+    weights: dict[int, tuple[int, ...]],
+    basis: MonomialBasis,
+    span: TrackedSpan,
+    degree_cap: int,
+    depth_cap: int,
+) -> tuple[list[BasisRecord], int]:
+    """Close weight-homogeneous generators in weight coordinates.
+
+    `weights` maps each nonzero generator's index to its weight.  Row k is
+    the field sum coords[k][i] x^(w + e_i) d/dx_i of weight
+    w = row_weights[k]; coords[k] is its normalized row in `span`, keyed
+    by component instead of by monomial coordinate.  A bracket has the
+    summed weight w and degree |w| + 1 <= `degree_cap`, so nothing is
+    discarded after the depth and degree filters.
+    """
+    size = len(basis)
+    row_weights: list[tuple[int, ...]] = []
+    coords: list[dict[int, Scalar]] = []
+    degrees: list[int] = []
+    records: list[BasisRecord] = []
+    # weight -> component pivot -> row.  Within one weight the global index
+    # i * size + k orders coordinates by i, and every row whose pivot has
+    # that weight has that weight, so reducing against these rows takes the
+    # steps `span` would take and yields its remainder, scale and corrections.
+    pivots: dict[tuple[int, ...], dict[int, int]] = {}
+    free: dict[tuple[int, ...], int] = {}  # weight -> dimension not yet spanned
+
+    def insert(vector, weight, kind: str, left: int, right: int | None, depth: int) -> None:
+        by_pivot = pivots.setdefault(weight, {})
+        remainder, combo = _eliminate(vector, by_pivot, coords)
+        if not remainder:
+            return
+        global_coords = {
+            i * size + basis.index_of([w + (k == i) for k, w in enumerate(weight)]): c
+            for i, c in remainder.items()
+        }
+        # `span` holds the rows for target reduction; this remainder is already
+        # reduced there, so its provenance lives in the record, not in `span`
+        row = span.insert(global_coords, source=(kind, left, right))
+        scale = span.scales[row]
+        by_pivot[min(remainder)] = row
+        free[weight] = free.get(weight, _weight_space_dimension(weight)) - 1
+        row_weights.append(weight)
+        coords.append({idx // size: c for idx, c in span.vectors[row].items()})
+        degrees.append(sum(weight) + 1)
+        corrections = tuple((-(factor * scale), idx) for factor, idx in combo)
+        records.append(BasisRecord(kind, left, right, scale, corrections, depth))
+
+    def bracket_with(j: int, near: list[int], depth: int) -> int:
+        beta, d = row_weights[j], coords[j]
+        for i in near:
+            alpha = row_weights[i]
+            weight = tuple(map(add, alpha, beta))
+            missing = free.get(weight)
+            if missing is None:
+                missing = free[weight] = _weight_space_dimension(weight)
+            # the span holds every field of this weight: the bracket is zero or dependent
+            if not missing:
+                continue
+            bracket = _weight_bracket(alpha, coords[i], beta, d)
+            if bracket:
+                insert(bracket, weight, "bracket", i, j, depth)
+        return 0
+
+    for k, weight in weights.items():
+        # each component of a field of one weight has at most one term
+        components = generators[k].components
+        coeffs = {i: c for i, comp in enumerate(components) for c in comp.terms.values()}
+        insert(coeffs, weight, "generator", k, None, 0)
+    return records, _bracket_rounds(degrees, degree_cap, depth_cap, bracket_with)
+
+
 def lie_closure(
     generators: Sequence[VectorField],
     degree_cap: int,
@@ -514,16 +682,19 @@ def lie_closure(
     uninformative.  Every basis element and every established target
     records an exact combination over the generators.
 
-    Fields are graded by weight: x^a d/dx_i has weight a - e_i, brackets
-    add weights, and the fields of weight w span a space of dimension
-    #{i : w + e_i >= 0}.  When every nonzero generator is
-    weight-homogeneous, so is every basis element, and a pair that passes
-    the depth and degree filters is skipped, unbracketed, once the span
-    holds that many basis elements of the pair's summed weight.  Such a
-    bracket is zero or dependent and would add no record, and the skip
-    comes after the filters that count `discarded_brackets`, so the
-    certificate is the same with or without it.  A family with a
-    non-homogeneous generator, such as x2 - x3^2, brackets every pair.
+    Fields are graded by weight: x^a d/dx_i has weight a - e_i, and the
+    fields of weight w span a space of dimension #{i : w + e_i >= 0}.
+    When every nonzero generator is weight-homogeneous (both shear
+    families, codim2 on a monomial ideal such as the axis line), so is
+    every basis element, and the closure runs on weight coordinates: a
+    field of weight a is {i: c_i}, meaning sum c_i x^(a + e_i) d/dx_i, and
+    the bracket of (a, c) with (b, d) is <c, b> d - <d, a> c, of weight
+    a + b.  A bracket is reduced only against the rows of its weight, a
+    pair is skipped once the span holds that whole weight space, and only
+    an independent remainder enters the shared span.  The certificate is
+    byte-identical to bracketing and reducing every pair.  A family with a
+    non-homogeneous generator, such as codim2 on x1, x2 - x3^2, brackets
+    with `VectorField.bracket` and reduces in global coordinates.
     """
     generators = list(generators)
     if not generators:
@@ -538,77 +709,15 @@ def lie_closure(
             )
     basis = MonomialBasis(nvars, degree_cap)
     span = TrackedSpan()
-    fields: list[VectorField] = []
-    degrees: list[int] = []  # fields[k].degree, which is costly to recompute per pair
-    records: list[BasisRecord] = []
-    discarded = 0
-
-    # When graded, every row is homogeneous (a reduction only subtracts rows
-    # whose pivot has the work vector's weight), so rows_of_weight[w] is the
-    # dimension of the span's piece of weight w.
-    gen_weights = {
-        k: _weight(gen) for k, gen in enumerate(generators) if not gen.is_zero()
-    }
-    graded = None not in gen_weights.values()
-    weights: list[tuple[int, ...]] = []  # fields[k]'s weight, when graded
-    rows_of_weight: dict[tuple[int, ...], int] = {}
-    weight_dims: dict[tuple[int, ...], int] = {}
-
-    def insert(raw: VectorField, kind: str, left: int, right: int | None, depth: int,
-               weight: tuple[int, ...] | None) -> bool:
-        row = span.insert(_field_coords(raw, basis), source=(kind, left, right))
-        if row is None:
-            return False
-        scale = span.scales[row]
-        corrections = tuple(span.corrections[row])
-        combined = raw.scale(scale)
-        for coeff, idx in corrections:
-            combined = combined + fields[idx].scale(coeff)
-        fields.append(combined)
-        degrees.append(combined.degree)
-        records.append(BasisRecord(kind, left, right, scale, corrections, depth))
-        if graded:
-            weights.append(weight)
-            rows_of_weight[weight] = rows_of_weight.get(weight, 0) + 1
-        return True
-
-    for k, weight in gen_weights.items():
-        insert(generators[k], "generator", k, None, 0, weight)
-
-    # Round r brackets each row of depth r - 1 (the frontier) with every
-    # earlier row; no earlier row is deeper, so every bracket has depth r.
-    frontier = list(range(len(fields)))
-    depth = 1
-    while frontier and depth <= depth_cap:
-        round_start = len(fields)
-        for j in frontier:
-            # a bracket's degree is at most the sum of its factors' degrees minus one
-            room = degree_cap + 1 - degrees[j]
-            weight_j = weights[j] if graded else None
-            near = [i for i in range(j) if degrees[i] <= room]
-            discarded += j - len(near)
-            for i in near:
-                weight = None
-                if graded:
-                    # [V_a, V_b] lies in V_{a+b}: when the span already holds
-                    # that whole weight space, the bracket is zero or dependent
-                    weight = tuple(map(add, weights[i], weight_j))
-                    dim = weight_dims.get(weight)
-                    if dim is None:
-                        dim = weight_dims[weight] = _weight_space_dimension(weight)
-                    if rows_of_weight.get(weight, 0) == dim:
-                        continue
-                bracket = fields[i].bracket(fields[j])
-                if bracket.is_zero():
-                    continue
-                # a homogeneous bracket has degree deg_i + deg_j - 1, which passed `room`
-                if not graded and bracket.degree > degree_cap:
-                    discarded += 1
-                    continue
-                insert(bracket, "bracket", i, j, depth, weight)
-        frontier = list(range(round_start, len(fields)))
-        depth += 1
-
+    weights = {k: _weight(gen) for k, gen in enumerate(generators) if not gen.is_zero()}
+    if None in weights.values():
+        records, discarded = _generic_closure(
+            generators, list(weights), basis, span, degree_cap, depth_cap
+        )
+    else:
+        records, discarded = _graded_closure(
+            generators, weights, basis, span, degree_cap, depth_cap
+        )
     depth_reached = max((rec.depth for rec in records), default=0)
 
     target_records = []
@@ -635,7 +744,7 @@ def lie_closure(
         generators,
         records,
         target_records,
-        len(fields),
+        len(records),
         depth_reached,
         discarded,
     )

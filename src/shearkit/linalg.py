@@ -19,15 +19,40 @@ from .scalars import ONE, ZERO, Scalar
 __all__ = ["rref", "nullspace", "TrackedSpan"]
 
 
-def _sub_scaled(target: dict, coeff: Scalar, row: dict) -> None:
-    """target -= coeff * row, dropping entries that cancel."""
+def _sub_scaled(target: dict, coeff: Scalar, row: dict, skip: int | None = None) -> None:
+    """target -= coeff * row outside index `skip`, dropping entries that cancel."""
     for key, val in row.items():
+        if key == skip:
+            continue
         cur = target.get(key)
         s = -(coeff * val) if cur is None else cur - coeff * val
         if s.is_zero():
             target.pop(key, None)
         else:
             target[key] = s
+
+
+def _eliminate(
+    vector: dict[int, Scalar], by_pivot: dict[int, int], rows: Sequence[dict[int, Scalar]]
+) -> tuple[dict[int, Scalar], list[tuple[Scalar, int]]]:
+    """Reduce a copy of vector by rows that are 1 at their pivot, smallest pivot first.
+
+    by_pivot maps a pivot to the index in rows of the row that has it.
+    Returns the remainder, whose smallest index is no pivot, and the
+    (factor, row index) steps subtracted, in order.
+    """
+    work = dict(vector)
+    combo: list[tuple[Scalar, int]] = []
+    while work:
+        pivot = min(work)
+        row_idx = by_pivot.get(pivot)
+        if row_idx is None:
+            break
+        # the row is 1 at its pivot, so that entry cancels exactly
+        factor = work.pop(pivot)
+        _sub_scaled(work, factor, rows[row_idx], pivot)
+        combo.append((factor, row_idx))
+    return work, combo
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
@@ -87,17 +112,7 @@ class TrackedSpan:
         return len(self.vectors)
 
     def _reduce(self, vector: dict[int, Scalar]) -> tuple[dict[int, Scalar], list[tuple[Scalar, int]]]:
-        work = dict(vector)
-        combo: list[tuple[Scalar, int]] = []
-        while work:
-            pivot = min(work)
-            row_idx = self._by_pivot.get(pivot)
-            if row_idx is None:
-                break
-            factor = work[pivot]
-            _sub_scaled(work, factor, self.vectors[row_idx])
-            combo.append((factor, row_idx))
-        return work, combo
+        return _eliminate(vector, self._by_pivot, self.vectors)
 
     def reduce(self, vector: dict[int, Scalar]) -> tuple[dict[int, Scalar], list[tuple[Scalar, int]]]:
         """Remainder after reduction and the row combination removed.

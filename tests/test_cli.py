@@ -305,12 +305,17 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
             {"kind": "diagonal", "weights": [1, 1], "factor": [float("inf"), 0]}]}),
         (["basin", "--map"], {"nvars": 2, "elements": [
             {"kind": "shear", "axis": 1, "coeff": "x2", "time": [float("nan"), 0]}]}),
+        # counts past the int64 range
+        (["basin", "--builtin", "radial-contraction", "--max-iter", str(10**20)], None),
+        (["approx", "--field", "[0; x2^2]", "--substeps", str(10**23), "--points", "2"], None),
+        (["basin", "--builtin", "radial-contraction", "--nu", str(10**20)], None),
     ],
     ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
          "approx-time-nan", "approx-values-overflow", "approx-substeps-repeated",
          "basin-attract-nan", "basin-escape-inf", "basin-escape-negative",
          "basin-u-nan", "basin-v-inf", "grid-u-range-nan", "grid-origin-inf",
-         "map-factor-inf", "map-time-nan"],
+         "map-factor-inf", "map-time-nan", "basin-max-iter-huge", "approx-substeps-huge",
+         "basin-nu-huge"],
 )
 def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv, document):
     # json.dumps writes NaN and Infinity, which json.loads reads back as floats
@@ -319,7 +324,8 @@ def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv,
         path.write_text(json.dumps(document))
         argv = argv + [str(path)]
     if argv[0] == "basin":
-        argv = argv + ["--nu", "3", "--nv", "3", "--csv", str(tmp_path / "out.csv")]
+        # a small default grid, which a case's own --nu or --nv overrides
+        argv = [argv[0], "--nu", "3", "--nv", "3", *argv[1:], "--csv", str(tmp_path / "out.csv")]
     assert run_cli(*argv) == EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from shearkit.density import (
     BasisRecord,
     _exact_det,
+    _weight_bracket,
     LieClosureCertificate,
     TargetRecord,
     check_compatibility,
@@ -415,11 +416,63 @@ def inhomogeneous_families(draw):
 @example((shear_generator_family(3, 2), 3, 6))
 @example((shear_generator_family(2, 3), 2, 6))
 @example(([F("[x2; 0]"), F("[0; x1]"), F("[x1; -x2]")], 2, 4))
+# the generators of codim2 on the axis line x1 = x2 = 0 at target degree 1
+@example(([F(t) for t in ("[x2; 0; 0]", "[x1*x2; 0; 0]", "[x2^2; 0; 0]", "[x2*x3; 0; 0]",
+                          "[0; x1; 0]", "[0; x1^2; 0]", "[0; x1*x2; 0]", "[0; x1*x3; 0]")], 3, 6))
+@example((shear_generator_family(2, 4), 2, 3))
 def test_closure_matches_reference_on_homogeneous_families(family):
     gens, degree_cap, depth_cap = family
     _assert_closure_matches_reference(
         gens, degree_cap, depth_cap, monomial_field_targets(gens[0].nvars, degree_cap)
     )
+
+
+@st.composite
+def _weight_field(draw, nvars):
+    """(weight, {i: c_i}) with every c_i x^(weight + e_i) d/dx_i a polynomial field."""
+    weight = tuple(draw(st.lists(st.integers(-1, 2), min_size=nvars, max_size=nvars)))
+    coords = {}
+    for i in range(nvars):
+        if all(w + (k == i) >= 0 for k, w in enumerate(weight)):
+            c = draw(gaussian_rationals)
+            if c:
+                coords[i] = c
+    return weight, coords
+
+
+def _from_weight_coords(nvars, weight, coords):
+    comps = [Poly.zero(nvars)] * nvars
+    for i, c in coords.items():
+        comps[i] = Poly.monomial(nvars, [w + (k == i) for k, w in enumerate(weight)], c)
+    return VectorField(comps)
+
+
+@st.composite
+def homogeneous_pairs(draw):
+    nvars = draw(st.integers(1, 4))
+    alpha, c = draw(_weight_field(nvars))
+    if draw(st.booleans()):
+        beta, d = draw(_weight_field(nvars))
+    else:
+        # a multiple of the first field, whose bracket with it is zero
+        factor = draw(gaussian_rationals)
+        beta, d = alpha, {i: factor * v for i, v in c.items() if factor}
+    return nvars, (alpha, c), (beta, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_pairs())
+@example((2, ((-1, 1), {0: Scalar.exact(1)}), ((1, -1), {1: Scalar.exact(1)})))
+@example((3, ((0, 0, 0), {0: Scalar.exact(1)}), ((0, 0, 0), {1: Scalar.exact(2)})))
+@example((3, ((-1, 0, 2), {0: Scalar.exact(1)}), ((0, -1, 1), {1: Scalar.exact(1, 1)})))
+def test_weight_coordinate_bracket_is_the_lie_bracket(pair):
+    nvars, (alpha, c), (beta, d) = pair
+    v = _from_weight_coords(nvars, alpha, c)
+    w = _from_weight_coords(nvars, beta, d)
+    weight = tuple(a + b for a, b in zip(alpha, beta))
+    closed_form = _from_weight_coords(nvars, weight, _weight_bracket(alpha, c, beta, d))
+    assert closed_form == v.bracket(w)
+    assert closed_form == bracket_by_definition(v, w)
 
 
 @settings(max_examples=60, deadline=None)
