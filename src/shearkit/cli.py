@@ -44,12 +44,12 @@ def _require_positive(args, *names: str) -> None:
 
 
 # grid sizes, iteration counts and substep counts become numpy int64 values or sizes
-MAX_COUNT = 2**63 - 1
+_MAX_COUNT = 2**63 - 1
 
 
 def _require_count(name: str, *values: int) -> None:
-    if any(value > MAX_COUNT for value in values):
-        raise ShearKitError(f"{name} must be at most {MAX_COUNT}, got {max(values)}")
+    if any(value > _MAX_COUNT for value in values):
+        raise ShearKitError(f"{name} must be at most {_MAX_COUNT}, got {max(values)}")
 
 
 def _emit(document: dict, output: str | None) -> None:

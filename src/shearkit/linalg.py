@@ -7,7 +7,9 @@ remembers how each row was built from the inserted source vectors,
 which is what makes emitted certificates replayable.  `rref` is a
 dense view over it, the reduced row echelon form of the inserted rows;
 `nullspace` reads the kernel off the dependent sparse columns.  Both
-results are canonical, so they do not depend on the engine.
+results are canonical, so they do not depend on the engine.  Its
+reduction loop, `_eliminate`, also reduces `lie_closure`'s brackets
+inside one weight space.
 """
 
 from __future__ import annotations
