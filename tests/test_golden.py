@@ -156,6 +156,19 @@ GOLDEN = [
         {"-o": "4621ef53e1cb841e54513b53c9785b7e1ecdde30d393b8f702e928a6666704c9"},
         id="approx-isotopy",
     ),
+    # non-unit rational coefficients in both components
+    pytest.param(
+        ["approx", "--field", "[(1/2)*x1*x2; 3*x2^2]", "--substeps", "4,8,16", "--points", "10"],
+        {"-o": "40e9e57692d63e6fd856519614b504ce4f680a7e602f42660ea88b9f5416e4ba"},
+        id="approx-rational-coefficients",
+    ),
+    # linear components decompose into overshears; the plain splitting scheme
+    pytest.param(
+        ["approx", "--field", "[x1; -x2]", "--scheme", "plain", "--substeps", "4,8,16",
+         "--points", "10"],
+        {"-o": "9cfb06a480101a80a01e13f9bc89de6d54b6edef14c178e9d722f2e163c06c05"},
+        id="approx-overshear-plain",
+    ),
 ]
 
 
