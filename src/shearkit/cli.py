@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import ShearKitError
 from . import density, dynamics, serialize, subvariety
 from .fields import parse_vector_field
-from .poly import parse_poly, parse_scalar
+from .poly import MAX_BASIS_SIZE, parse_poly, parse_scalar
 from .subvariety import SubvarietyInput
 
 DEFAULT_SEED = dynamics.DEFAULT_SEED
@@ -270,6 +270,9 @@ def _run_approx(args) -> int:
     if not substeps or any(m < 1 for m in substeps):
         raise ShearKitError("--substeps needs positive step counts, e.g. 8,16,32")
     _require_count("--substeps", *substeps)
+    # the sample and the finest sequence share the monomial bases' size budget
+    if args.points > MAX_BASIS_SIZE:
+        raise ShearKitError(f"--points must be at most {MAX_BASIS_SIZE}, got {args.points}")
     if args.isotopy:
         doc = serialize.require_keys(
             json.loads(Path(args.isotopy).read_text(encoding="utf-8")),
@@ -277,16 +280,19 @@ def _run_approx(args) -> int:
             fields=[str],
         )
         table = [parse_vector_field(text) for text in doc["fields"]]
-        field_at = table
         slices = len(table)
     else:
         if not args.field:
             raise ShearKitError("provide --field or --isotopy FILE")
         field = parse_vector_field(args.field)
-        field_at = [field] * args.steps
         slices = args.steps
+    if slices * max(substeps) > MAX_BASIS_SIZE:
+        raise ShearKitError(
+            f"time slices times the largest substep count must be at most {MAX_BASIS_SIZE}, "
+            f"got {slices} x {max(substeps)}"
+        )
     seq, report = dynamics.approximate_isotopy(
-        field_at,
+        table if args.isotopy else [field] * slices,
         args.time,
         slices,
         substeps,

@@ -27,6 +27,7 @@ control per point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -741,6 +742,8 @@ def approximate_isotopy(
     nvars = slice_fields[0].nvars
     slice_primitives = [decompose_field(f) for f in slice_fields]
 
+    # the report builds the finest approximant, which is also the return value
+    @functools.cache
     def build(m: int) -> AutoSeq:
         seq = AutoSeq(nvars, ())
         for primitives in slice_primitives:

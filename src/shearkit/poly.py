@@ -57,7 +57,8 @@ def grlex_key(exponents: tuple[int, ...]):
 class Poly:
     """Immutable sparse polynomial; see the module docstring for conventions."""
 
-    __slots__ = ("nvars", "terms")
+    # `_plan` is eval_complex's numeric form of `terms`, built on its first call
+    __slots__ = ("nvars", "terms", "_plan")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         if nvars < 0:
@@ -76,6 +77,7 @@ class Poly:
                 cleaned[tuple(exp)] = coeff
         self.nvars = nvars
         self.terms = cleaned
+        self._plan = None
 
     # -- constructors -------------------------------------------------
 
@@ -216,8 +218,10 @@ class Poly:
         return total
 
     def eval_complex(self, point: Sequence[complex]) -> complex:
-        """Numeric evaluation; exact coefficients are converted on the fly.
+        """Numeric evaluation through a plan built on the first call.
 
+        The plan holds, per term, the coefficient as a complex (None if it is
+        exactly 1) and the (row, exponent) pairs with a nonzero exponent.
         `point` may also be an (nvars, k) numpy array of k points: the loop
         runs over its rows, so the value is an array of k values.  A
         constant polynomial (zero included) never touches the rows and
@@ -228,13 +232,19 @@ class Poly:
         """
         if len(point) != self.nvars:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = tuple(
+                (None if coeff == ONE else coeff.to_complex(),
+                 tuple((row, e) for row, e in enumerate(exp) if e))
+                for exp, coeff in self.terms.items()
+            )
         total = None
-        for exp, coeff in self.terms.items():
-            term = None if coeff == ONE else coeff.to_complex()
-            for value, e in zip(point, exp):
-                if e:
-                    factor = value if e == 1 else value**e
-                    term = factor if term is None else term * factor
+        for term, factors in plan:
+            for row, e in factors:
+                value = point[row]
+                factor = value if e == 1 else value**e
+                term = factor if term is None else term * factor
             term = 1 + 0j if term is None else term
             total = term if total is None else total + term
         return 0j if total is None else total
@@ -300,6 +310,7 @@ def _trusted_poly(nvars: int, terms: dict[tuple[int, ...], Scalar]) -> Poly:
     result = Poly.__new__(Poly)
     result.nvars = nvars
     result.terms = terms
+    result._plan = None
     return result
 
 

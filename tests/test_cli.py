@@ -309,13 +309,18 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
         (["basin", "--builtin", "radial-contraction", "--max-iter", str(10**20)], None),
         (["approx", "--field", "[0; x2^2]", "--substeps", str(10**23), "--points", "2"], None),
         (["basin", "--builtin", "radial-contraction", "--nu", str(10**20)], None),
+        # sizes past the monomial-basis budget, before anything is allocated
+        (["approx", "--field", "[0; x2^2]", "--steps", str(10**20), "--substeps", "4,8,16",
+          "--points", "2"], None),
+        (["approx", "--field", "[0; x2^2]", "--substeps", "4,8,16", "--points", str(10**20)],
+         None),
     ],
     ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
          "approx-time-nan", "approx-values-overflow", "approx-substeps-repeated",
          "basin-attract-nan", "basin-escape-inf", "basin-escape-negative",
          "basin-u-nan", "basin-v-inf", "grid-u-range-nan", "grid-origin-inf",
          "map-factor-inf", "map-time-nan", "basin-max-iter-huge", "approx-substeps-huge",
-         "basin-nu-huge"],
+         "basin-nu-huge", "approx-steps-huge", "approx-points-huge"],
 )
 def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv, document):
     # json.dumps writes NaN and Infinity, which json.loads reads back as floats

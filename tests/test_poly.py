@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shearkit.errors import ArityMismatch, ParseError
-from shearkit.poly import MonomialBasis, Poly, format_poly, parse_poly
+from shearkit.poly import MonomialBasis, Poly, _trusted_poly, format_poly, parse_poly
 from shearkit.scalars import Scalar
 
 from conftest import gaussian_rationals, model_eval_complex, random_exact_poly
@@ -220,6 +220,47 @@ def test_eval_complex_of_a_variable_is_its_row():
     assert np.shares_memory(P("x2", 2).eval_complex(batch), batch)
     assert P("0", 2).eval_complex(batch) == 0j
     assert P("1", 2).eval_complex(batch) == 1 + 0j
+
+
+def _same_bits(value, expected):
+    assert type(value) is type(expected)
+    assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evaluation_cases())
+def test_eval_complex_does_not_depend_on_when_its_plan_was_built(case):
+    poly, points = case
+    batch = np.array(points, dtype=complex).T
+    inputs = [batch, batch[:, :1], *points]
+    builders = [lambda: Poly(poly.nvars, poly.terms),
+                lambda: _trusted_poly(poly.nvars, dict(poly.terms))]
+    with np.errstate(all="ignore"):
+        # each evaluation as the first call of a copy whose plan is not built yet
+        first = [build().eval_complex(point) for build in builders for point in inputs]
+        for k, build in enumerate(builders):
+            copy = build()
+            fresh_key = build().key()
+            values = [copy.eval_complex(point) for point in inputs]
+            for value, expected in zip(values, first[k * len(inputs):]):
+                _same_bits(value, expected)
+            assert copy == build() and build() == copy and copy == poly
+            assert copy.key() == fresh_key == poly.key()
+            wide = np.broadcast_to(values[0], len(points))
+            _same_where_finite(wide, np.broadcast_to(model_eval_complex(poly, batch), len(points)))
+            # the one-column batch matches the wide batch, as in the model test above
+            _same_where_finite(np.broadcast_to(values[1], 1), wide[:1])
+            for value, point in zip(values[2:], points):
+                _same_where_finite(value, model_eval_complex(poly, point))
+
+
+def test_eval_complex_of_a_variable_is_its_row_on_a_second_call():
+    batch = np.array([[1 + 2j, -0.5j], [3.0, 4 - 1j]])
+    variable, zero, one = P("x2", 2), P("0", 2), P("1", 2)
+    for _ in range(2):
+        assert np.shares_memory(variable.eval_complex(batch), batch)
+        assert zero.eval_complex(batch) == 0j
+        assert one.eval_complex(batch) == 1 + 0j
 
 
 class TestSubstitution:
