@@ -281,11 +281,13 @@ def _run_approx(args) -> int:
         )
         table = [parse_vector_field(text) for text in doc["fields"]]
         slices = len(table)
+        if args.steps not in (None, slices):
+            raise ShearKitError(f"--steps {args.steps} differs from the file's {slices} fields")
     else:
         if not args.field:
             raise ShearKitError("provide --field or --isotopy FILE")
         field = parse_vector_field(args.field)
-        slices = args.steps
+        slices = 1 if args.steps is None else args.steps
     if slices * max(substeps) > MAX_BASIS_SIZE:
         raise ShearKitError(
             f"time slices times the largest substep count must be at most {MAX_BASIS_SIZE}, "
@@ -439,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", help="autonomous field in bracket grammar")
     p.add_argument("--isotopy", help="JSON file with per-slice fields")
     p.add_argument("-T", "--time", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=1, help="time slices")
+    p.add_argument("--steps", type=int, help="time slices (default 1; an isotopy file fixes them)")
     p.add_argument("--substeps", default="8,16,32,64")
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--points", type=int, default=25)

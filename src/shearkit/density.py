@@ -36,8 +36,9 @@ from .fields import (
     nilpotency_report,
     shear_pair_residual,
 )
-from .linalg import TrackedSpan, _eliminate, _sub_scaled, nullspace, rref
-from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, _trusted_poly, grlex_key
+# no code here calls rref; perfbench/tracing.py patches the name density.rref
+from .linalg import TrackedSpan, _eliminate, _sub_scaled, nullspace, rref  # noqa: F401
+from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, _trusted_poly
 from .scalars import ONE, ZERO, Scalar
 from . import serialize
 
@@ -204,29 +205,6 @@ class CompatibilityVerdict:
         return doc
 
 
-def _echelon_polys(polys: Sequence[Poly], nvars: int) -> list[Poly]:
-    """Canonical reduced basis of the span, rows by descending leading monomial."""
-    monomials = sorted(
-        {exp for p in polys for exp in p.terms}, key=grlex_key, reverse=True
-    )
-    index = {exp: i for i, exp in enumerate(monomials)}
-    zero = Scalar.exact(0)
-    rows = []
-    for p in polys:
-        row = [zero] * len(monomials)
-        for exp, coeff in p.terms.items():
-            row[index[exp]] = coeff
-        rows.append(row)
-    reduced, _pivots = rref(rows)
-    out = []
-    for row in reduced:
-        terms = {
-            monomials[i]: value for i, value in enumerate(row) if not value.is_zero()
-        }
-        out.append(Poly(nvars, terms))
-    return out
-
-
 def check_compatibility(
     d1: VectorField,
     d2: VectorField,
@@ -305,16 +283,12 @@ def _degree_one_witness(d1: VectorField, ker2: Sequence[Poly], nvars: int) -> Co
     for k in ker2:
         image = d1.apply(d1.apply(k))
         columns.append({rows.setdefault(exp, len(rows)): c for exp, c in image.terms.items()})
-    candidates = []
+    # ker2 is reduced echelon, ascending by leading monomial, and each kernel vector is
+    # e_j minus earlier columns: so are the candidates, and the first witness is the smallest
     for vec in nullspace(columns):
         a = Poly.zero(nvars)
         for col, coeff in vec.items():
             a = a + ker2[col].scale(coeff)
-        if not a.is_zero():
-            candidates.append(a)
-    if not candidates:
-        return ConditionTwo("not-established")
-    for a in reversed(_echelon_polys(candidates, nvars)):
         b = d1.apply(a)
         if not b.is_zero():
             return ConditionTwo("witness-found", a, b)
@@ -561,6 +535,7 @@ def _generic_closure(
     depth_cap: int,
 ) -> tuple[list[BasisRecord], int]:
     """Close under `VectorField.bracket`, reducing monomial coordinates in `span`."""
+    nvars, size = basis.nvars, len(basis)
     fields: list[VectorField] = []
     degrees: list[int] = []  # fields[k].degree, which is costly to recompute per pair
     records: list[BasisRecord] = []
@@ -569,14 +544,16 @@ def _generic_closure(
         row = span.insert(_field_coords(raw, basis), source=(kind, left, right))
         if row is None:
             return
-        scale = span.scales[row]
+        # the row is fields[row]: index i * size + m is component i, monomial exponents[m]
+        components: list[dict[tuple[int, ...], Scalar]] = [{} for _ in range(nvars)]
+        for idx, c in span.vectors[row].items():
+            i, m = divmod(idx, size)
+            components[i][basis.exponents[m]] = c
+        field = VectorField([_trusted_poly(nvars, terms) for terms in components])
+        fields.append(field)
+        degrees.append(field.degree)
         corrections = tuple(span.corrections[row])
-        combined = raw.scale(scale)
-        for coeff, idx in corrections:
-            combined = combined + fields[idx].scale(coeff)
-        fields.append(combined)
-        degrees.append(combined.degree)
-        records.append(BasisRecord(kind, left, right, scale, corrections, depth))
+        records.append(BasisRecord(kind, left, right, span.scales[row], corrections, depth))
 
     def bracket_with(j: int, near: list[int], depth: int) -> int:
         discarded = 0
@@ -914,6 +891,18 @@ def matrix_variable(n: int, row: int, col: int) -> Poly:
     return Poly.variable(n * n, row * n + col)
 
 
+def _parity(perm: Sequence[int]) -> int:
+    """0 for an even permutation of range(len(perm)), 1 for an odd one."""
+    # the sign is (-1)^(n - cycles): each swap below puts one entry in place
+    p, swaps = list(perm), 0
+    for i in range(len(p)):
+        while p[i] != i:
+            j = p[i]
+            p[i], p[j] = p[j], j
+            swaps += 1
+    return swaps & 1
+
+
 def determinant_poly(n: int) -> Poly:
     """Determinant as a polynomial on the n^2 matrix entries."""
     if math.factorial(n) > MAX_BASIS_SIZE:
@@ -925,17 +914,10 @@ def determinant_poly(n: int) -> Poly:
     signs = (ONE, -ONE)
     terms: dict[tuple[int, ...], Scalar] = {}
     for perm in itertools.permutations(range(n)):
-        # the sign is (-1)^(n - cycles): each swap below puts one entry in place
-        p, swaps = list(perm), 0
-        for i in range(n):
-            while p[i] != i:
-                j = p[i]
-                p[i], p[j] = p[j], j
-                swaps += 1
         exp = [0] * nvars
         for row, col in enumerate(perm):
             exp[row * n + col] += 1
-        terms[tuple(exp)] = signs[swaps & 1]
+        terms[tuple(exp)] = signs[_parity(perm)]
     return _trusted_poly(nvars, terms)
 
 
@@ -957,22 +939,16 @@ def sl_pair_derivations(n: int) -> tuple[VectorField, VectorField]:
 
 
 def _exact_det(entries: list[list[Scalar]]) -> Scalar:
-    """Determinant of a square matrix by exact Gaussian elimination over Q(i)."""
-    rows = [list(row) for row in entries]
-    det = Scalar.exact(1)
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            return Scalar.exact(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        head = rows[col]
-        det = det * head[col]
-        for r in range(col + 1, len(rows)):
-            factor = rows[r][col] / head[col]
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], head)]
+    """Determinant of a square matrix over Q(i), read off a `TrackedSpan` of its rows."""
+    span = TrackedSpan()
+    for row in entries:
+        if span.insert({j: v for j, v in enumerate(row) if v}) is None:
+            return ZERO
+    # row r of the span is scales[r] * entries[r] plus earlier rows, zero before
+    # its pivot and 1 at it: sorted by pivot, the rows form a unit triangle
+    det = -ONE if _parity(span.pivots) else ONE
+    for scale in span.scales:
+        det = det / scale
     return det
 
 

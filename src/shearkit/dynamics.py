@@ -54,7 +54,6 @@ __all__ = [
     "approximate_isotopy",
     "ConvergenceReport",
     "measure_convergence",
-    "trotter_convergence_report",
     "integrate_flow",
     "sample_ball",
     "fit_loglog_slope",
@@ -682,24 +681,6 @@ def _report_against(
     return ConvergenceReport(
         tuple(step_counts), tuple(errors), order, radius, batch.shape[1], seed
     )
-
-
-def trotter_convergence_report(
-    field: VectorField,
-    total_time: float,
-    step_counts: Sequence[int],
-    radius: float,
-    sample_count: int = 25,
-    seed: int = DEFAULT_SEED,
-    scheme: str = "symmetric",
-) -> ConvergenceReport:
-    """Convergence of the split composition for one autonomous field.
-
-    This is the one-slice case of `approximate_isotopy`.
-    """
-    return approximate_isotopy(
-        [field], total_time, 1, step_counts, radius, sample_count, seed, scheme
-    )[1]
 
 
 def approximate_isotopy(

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import ArityMismatch, ParseError, PreconditionError, RegimeMismatch
 from .linalg import nullspace
-from .poly import MonomialBasis, Poly, _trusted_poly, format_poly, grlex_key, parse_poly
+from .poly import MonomialBasis, Poly, _trusted_poly, format_poly, parse_poly
 from .scalars import Scalar
 
 __all__ = [
@@ -290,8 +290,8 @@ def kernel_basis(field: VectorField, degree: int) -> list[Poly]:
 
     Solves V(f) = 0 by exact elimination of sparse columns: column i is
     the image V(x^e_i), with one row per monomial any image reaches.
-    The result is deterministic for the fixed graded-lex order and
-    sorted by leading monomial.
+    Each basis vector is e_j minus earlier columns, so the result is
+    the reduced echelon basis, ascending by leading monomial x^e_j.
     """
     basis = MonomialBasis(field.nvars, degree)
     rows: dict[tuple[int, ...], int] = {}
@@ -299,12 +299,10 @@ def kernel_basis(field: VectorField, degree: int) -> list[Poly]:
     for exp in basis:
         image = field.apply(Poly.monomial(field.nvars, exp, Scalar.exact(1)))
         columns.append({rows.setdefault(mon, len(rows)): c for mon, c in image.terms.items()})
-    polys = [
+    return [
         Poly(field.nvars, {basis.exponents[i]: value for i, value in vec.items()})
         for vec in nullspace(columns)
     ]
-    polys.sort(key=lambda p: grlex_key(p.leading_monomial()))
-    return polys
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ Every entry is an exact Gaussian rational: no pivot thresholds, no
 tolerances.  `TrackedSpan` is the one elimination engine: an
 incremental echelon span over sparse index->Scalar dicts that also
 remembers how each row was built from the inserted source vectors,
-which is what makes emitted certificates replayable.  `rref` is a
-dense view over it, the reduced row echelon form of the inserted rows;
-`nullspace` reads the kernel off the dependent sparse columns.  Both
-results are canonical, so they do not depend on the engine.  Its
-reduction loop, `_eliminate`, also reduces `lie_closure`'s brackets
-inside one weight space.
+which is what makes emitted certificates replayable.  `nullspace`
+reads the kernel off the dependent sparse columns.  `rref`, a dense
+view of the reduced row echelon form, has no caller in the package;
+it stays for callers outside it.  Both results are canonical, so they
+do not depend on the engine.  Its reduction loop, `_eliminate`, also
+reduces `lie_closure`'s brackets inside one weight space.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -157,3 +158,46 @@ def model_nullspace(rows, ncols):
             vec[pivot_col] = -row[free]
         basis.append(vec)
     return basis
+
+
+def _model_kernel(apply, polys):
+    """Basis of {sum c_j polys[j] : apply(sum) = 0}, by the model nullspace."""
+    images = [apply(p) for p in polys]
+    monomials = sorted({exp for image in images for exp in image.terms})
+    rows = [[image.coefficient(exp) for image in images] for exp in monomials]
+    kernel = []
+    for vec in model_nullspace(rows, len(polys)):
+        total = Poly.zero(polys[0].nvars)
+        for coeff, p in zip(vec, polys):
+            total = total + p.scale(coeff)
+        kernel.append(total)
+    return kernel
+
+
+def model_degree_one_witness(d1, d2, degree):
+    """The smallest degree-one witness (a, b = d1(a)) up to `degree`, or None.
+
+    The candidates a span {a in Ker d2 : d1^2(a) = 0}.  They are put in
+    reduced echelon form through `model_rref`, monomials in descending
+    graded-lex order, and scanned from the smallest leading monomial
+    for the first a with d1(a) != 0.
+    """
+    n = d1.nvars
+    one = Scalar.exact(1)
+    monomials = [
+        exp for exp in itertools.product(range(degree + 1), repeat=n) if sum(exp) <= degree
+    ]
+    ker2 = _model_kernel(
+        lambda p: model_apply(d2, p), [Poly.monomial(n, exp, one) for exp in monomials]
+    )
+    candidates = _model_kernel(lambda p: model_apply(d1, model_apply(d1, p)), ker2)
+    columns = sorted(
+        {exp for a in candidates for exp in a.terms}, key=lambda e: (sum(e), e), reverse=True
+    )
+    reduced, _ = model_rref([[a.coefficient(exp) for exp in columns] for a in candidates])
+    for row in reversed(reduced):
+        a = Poly(n, dict(zip(columns, row)))
+        b = model_apply(d1, a)
+        if not b.is_zero():
+            return a, b
+    return None

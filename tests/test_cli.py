@@ -163,6 +163,17 @@ class TestApprox:
         end = seq.apply((0, 0))
         assert abs(end[0] - 0.5) < 1e-9 and abs(end[1] - 0.5) < 1e-9
 
+    def test_isotopy_steps_equal_to_its_field_count_change_nothing(self, tmp_path):
+        isotopy = tmp_path / "isotopy.json"
+        isotopy.write_text(json.dumps({"fields": ["[1; 0]", "[0; 1]"]}))
+        argv = ("approx", "--isotopy", str(isotopy), "--substeps", "2,4,8", "--points", "5")
+        written = []
+        for extra in ((), ("--steps", "2")):
+            out = tmp_path / f"run-{len(written)}.json"
+            assert run_cli(*argv, *extra, "-o", str(out)) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
 
 class TestBasin:
     def test_builtin_map_artifacts(self, tmp_path, capsys):
@@ -314,13 +325,17 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
           "--points", "2"], None),
         (["approx", "--field", "[0; x2^2]", "--substeps", "4,8,16", "--points", str(10**20)],
          None),
+        # an isotopy file fixes the time slices
+        (["approx", "--steps", "3", "--substeps", "2,4,8", "--points", "2", "--isotopy"],
+         {"fields": ["[1; 0]", "[0; 1]"]}),
     ],
     ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
          "approx-time-nan", "approx-values-overflow", "approx-substeps-repeated",
          "basin-attract-nan", "basin-escape-inf", "basin-escape-negative",
          "basin-u-nan", "basin-v-inf", "grid-u-range-nan", "grid-origin-inf",
          "map-factor-inf", "map-time-nan", "basin-max-iter-huge", "approx-substeps-huge",
-         "basin-nu-huge", "approx-steps-huge", "approx-points-huge"],
+         "basin-nu-huge", "approx-steps-huge", "approx-points-huge",
+         "approx-isotopy-steps-mismatch"],
 )
 def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv, document):
     # json.dumps writes NaN and Infinity, which json.loads reads back as floats

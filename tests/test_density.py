@@ -28,12 +28,17 @@ from shearkit.density import (
     verify_shear_identity,
 )
 from shearkit.errors import PreconditionError
-from shearkit.fields import VectorField, parse_vector_field
+from shearkit.fields import VectorField, kernel_basis, parse_vector_field
 from shearkit.linalg import TrackedSpan
-from shearkit.poly import MonomialBasis, Poly, parse_poly
+from shearkit.poly import MonomialBasis, Poly, grlex_key, parse_poly
 from shearkit.scalars import Scalar
 
-from conftest import bracket_by_definition, gaussian_rationals, random_exact_poly
+from conftest import (
+    bracket_by_definition,
+    gaussian_rationals,
+    model_degree_one_witness,
+    random_exact_poly,
+)
 
 
 def F(text):
@@ -192,6 +197,57 @@ class TestCompatibility:
     def test_rejects_non_nilpotent_first_derivation(self):
         with pytest.raises(PreconditionError):
             check_compatibility(F("[x1; 0]"), F("[0; 1]"), 2)
+
+
+@st.composite
+def _triangular_field(draw, nvars):
+    """Locally nilpotent: in a drawn variable order, component k uses only earlier variables."""
+    order = draw(st.permutations(range(nvars)))
+    comps = [Poly.zero(nvars)] * nvars
+    for k, i in enumerate(order):
+        terms = {}
+        for _ in range(draw(st.integers(0, 2))):
+            exp = [0] * nvars
+            for _ in range(draw(st.integers(0, 2 if k else 0))):
+                exp[draw(st.sampled_from(order[:k]))] += 1
+            terms[tuple(exp)] = draw(gaussian_rationals)
+        comps[i] = Poly(nvars, terms)
+    return VectorField(comps)
+
+
+@st.composite
+def compatibility_inputs(draw):
+    """d1 triangular; d2 triangular or diagonal, sum c_i x_i d/dx_i with small integer c_i."""
+    nvars = draw(st.integers(2, 4))
+    d1 = draw(_triangular_field(nvars))
+    if draw(st.booleans()):
+        d2 = draw(_triangular_field(nvars))
+    else:
+        weights = draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars))
+        d2 = VectorField([
+            Poly.monomial(nvars, [int(k == i) for k in range(nvars)], Scalar.exact(c))
+            for i, c in enumerate(weights)
+        ])
+    return d1, d2, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(compatibility_inputs())
+# candidates 1, x3, x2 and higher ones, several with d1(a) != 0: the smallest, x3, wins
+@example((F("[0; 1; 1]"), F("[1; 0; 0]"), 3))
+@example((F("[1; x1; 1]"), F("[x1; 0; -x3]"), 3))
+@example((F("[0; x1]"), F("[x1; -x2]"), 4))
+def test_witness_is_the_smallest_reduced_candidate(inputs):
+    d1, d2, degree = inputs
+    for field in (d1, d2):
+        leading = [grlex_key(p.leading_monomial()) for p in kernel_basis(field, degree)]
+        assert all(lo < hi for lo, hi in zip(leading, leading[1:]))
+    two = check_compatibility(d1, d2, degree).condition_two
+    expected = model_degree_one_witness(d1, d2, degree)
+    if expected is None:
+        assert (two.kind, two.a, two.b) == ("not-established", None, None)
+    else:
+        assert (two.kind, two.a, two.b) == ("witness-found", *expected)
 
 
 class TestLieClosure:

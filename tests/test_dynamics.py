@@ -255,10 +255,8 @@ class TestTrotter:
         assert 0.8 <= report.order <= 1.5
 
     def test_report_helper_with_oracle_reference(self):
-        from shearkit.dynamics import trotter_convergence_report
-
-        report = trotter_convergence_report(
-            F("[0; x2^2]"), 0.5, [8, 16, 32], 0.4, sample_count=8
+        _, report = approximate_isotopy(
+            [F("[0; x2^2]")], 0.5, 1, [8, 16, 32], 0.4, sample_count=8
         )
         assert report.monotone_decreasing
         assert report.order >= 0.8
