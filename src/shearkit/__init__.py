@@ -67,24 +67,35 @@ from .subvariety import (
     verify_codim2_identity,
     verify_local_identities,
 )
-from .dynamics import (
-    AutoSeq,
-    BasinResult,
-    BracketPair,
-    ConvergenceReport,
-    DiagonalFlow,
-    GridSpec,
-    OvershearFlow,
-    Shear,
-    ShearFlow,
-    approximate_isotopy,
-    attracting_shear_composition,
-    basin_sample,
-    commutator_step,
-    decompose_field,
-    primitive_target,
-    radial_contraction,
-    trotter_compose,
-)
+
+# the numeric names live in `dynamics`, the one module that needs numpy; they
+# resolve on first access (PEP 562), so the exact side never loads numpy
+_DYNAMICS_NAMES = frozenset({
+    "AutoSeq", "BasinResult", "BracketPair", "ConvergenceReport", "DiagonalFlow", "GridSpec",
+    "OvershearFlow", "Shear", "ShearFlow", "approximate_isotopy", "attracting_shear_composition",
+    "basin_sample", "commutator_step", "decompose_field", "primitive_target",
+    "radial_contraction", "trotter_compose",
+})
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "dynamics" or name in _DYNAMICS_NAMES:
+        import importlib
+
+        # not `from . import dynamics`: its fromlist check would call this hook again
+        dynamics = importlib.import_module(".dynamics", __name__)
+        return dynamics if name == "dynamics" else getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the public globals (exported names and the submodules loaded so far) plus the lazy
+# names, so that `from shearkit import *` binds the same names as an eager import
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | _DYNAMICS_NAMES | {"dynamics"}
+)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,10 @@ polynomial / vector-field grammar; artifacts are canonical JSON, CSV or
 PGM so identical invocations (including the seed) are byte-identical.
 Exit code 0 means every requested verdict was established, 1 means some
 verdict was not established, 2 means a usage or input error.
+
+The exact subcommands (verify-identity, compat, closure, codim2,
+sl-demo) never load numpy: `dynamics`, the one module that needs it, is
+imported inside the decompose, approx and basin handlers only.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ import sys
 from pathlib import Path
 
 from .errors import ShearKitError
-from . import density, dynamics, serialize, subvariety
+from . import density, serialize, subvariety
 from .fields import parse_vector_field
 from .poly import MAX_BASIS_SIZE, parse_poly, parse_scalar
 from .subvariety import SubvarietyInput
 
-DEFAULT_SEED = dynamics.DEFAULT_SEED
+DEFAULT_SEED = density.DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_NOT_ESTABLISHED = 1
@@ -226,6 +230,8 @@ def _run_sl_demo(args) -> int:
 
 
 def _run_decompose(args) -> int:
+    from . import dynamics
+
     field = parse_vector_field(args.field)
     primitives = dynamics.decompose_field(field)
     listing = []
@@ -265,6 +271,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _run_approx(args) -> int:
+    from . import dynamics
+
     _require_positive(args, "time", "steps", "points", "radius")
     substeps = _parse_int_list(args.substeps)
     if not substeps or any(m < 1 for m in substeps):
@@ -320,6 +328,8 @@ def _run_approx(args) -> int:
 
 
 def _run_basin(args) -> int:
+    from . import dynamics
+
     _require_positive(args, "max_iter", "attract_radius", "escape_radius")
     _require_count("--max-iter", args.max_iter)
     _require_count("--nu/--nv", args.nu, args.nv)

@@ -65,9 +65,12 @@ __all__ = [
     "sl_pair_derivations",
     "sample_sl_points",
     "DEFAULT_BRACKET_DEPTH",
+    "DEFAULT_SEED",
 ]
 
 DEFAULT_BRACKET_DEPTH = 6
+# the seed of every sampler (sample_sl_points here, dynamics.sample_ball) and of the CLI
+DEFAULT_SEED = 1729
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +955,7 @@ def _exact_det(entries: list[list[Scalar]]) -> Scalar:
     return det
 
 
-def sample_sl_points(n: int, count: int, seed: int = 1729) -> list[tuple[Scalar, ...]]:
+def sample_sl_points(n: int, count: int, seed: int = DEFAULT_SEED) -> list[tuple[Scalar, ...]]:
     """Exact Gaussian-rational matrices of determinant one, flattened row-major.
 
     Entries are drawn as small Gaussian integers and entry (1,1) is then

@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .density import DEFAULT_SEED
 from .errors import ArityMismatch, PreconditionError, RegimeMismatch, ShearKitError
 from .fields import VectorField, _as_exact_scalar, shear_pair_fields, shear_pair_residual
 from .poly import Poly, grlex_key
@@ -66,8 +67,6 @@ __all__ = [
     "autoseq_from_json_dict",
     "DEFAULT_SEED",
 ]
-
-DEFAULT_SEED = 1729
 
 
 # ---------------------------------------------------------------------------

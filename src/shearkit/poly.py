@@ -561,6 +561,9 @@ def format_scalar(value: Scalar) -> str:
 
 def _scalar_sign_body(value: Scalar) -> tuple[int, str]:
     """Split a coefficient into a display sign and an unsigned body string."""
+    if not value.b and value.d == 1:
+        # an integer: str(a) is str(Fraction(a, 1)), without building the Fractions
+        return (-1, str(-value.a)) if value.a < 0 else (1, str(value.a))
     re, im = value.re, value.im
     if im == 0:
         sign = -1 if re < 0 else 1

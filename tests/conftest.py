@@ -201,3 +201,18 @@ def model_degree_one_witness(d1, d2, degree):
         if not b.is_zero():
             return a, b
     return None
+
+
+def model_scalar_sign_body(value):
+    """Display sign and unsigned body of a coefficient, every part through `Fraction`:
+    the reference for `poly._scalar_sign_body`, which formats integers directly."""
+    re, im = value.re, value.im
+    if im == 0:
+        return (-1 if re < 0 else 1), str(abs(re))
+    if re == 0:
+        mag = abs(im)
+        return (-1 if im < 0 else 1), "i" if mag == 1 else f"{mag}i"
+    sign = -1 if re < 0 else 1
+    re, im = re * sign, im * sign
+    im_part = "i" if abs(im) == 1 else f"{abs(im)}i"
+    return sign, f"({re}{'+' if im > 0 else '-'}{im_part})"

@@ -4,13 +4,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shearkit.errors import ArityMismatch, ParseError
-from shearkit.poly import MonomialBasis, Poly, _trusted_poly, format_poly, parse_poly
+from shearkit.poly import (
+    MonomialBasis,
+    Poly,
+    _scalar_sign_body,
+    _trusted_poly,
+    format_poly,
+    parse_poly,
+)
 from shearkit.scalars import Scalar
 
-from conftest import gaussian_rationals, model_eval_complex, random_exact_poly
+from conftest import (
+    gaussian_rationals,
+    model_eval_complex,
+    model_scalar_sign_body,
+    random_exact_poly,
+)
 
 
 def P(text, n):
@@ -97,6 +109,29 @@ class TestFormatting:
         for _ in range(60):
             p = random_exact_poly(rng, 3, 5)
             assert parse_poly(format_poly(p), 3) == p
+
+    # integers (the direct path, big ones too), then rationals and Gaussian values
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(-(10**40), 10**40).map(Scalar.exact),
+            gaussian_rationals,
+            st.builds(
+                lambda a, b, d: Scalar.exact(Fraction(a, d), Fraction(b, d)),
+                st.integers(-(10**20), 10**20),
+                st.integers(-(10**20), 10**20),
+                st.integers(1, 10**6),
+            ),
+        )
+    )
+    @example(Scalar.exact(0))
+    @example(Scalar.exact(-1))
+    @example(Scalar.exact(Fraction(4, 2)))
+    @example(Scalar.exact(Fraction(-7, 3)))
+    @example(Scalar.exact(0, -1))
+    @example(Scalar.exact(-2, 1))
+    def test_sign_body_matches_the_fraction_model(self, value):
+        assert _scalar_sign_body(value) == model_scalar_sign_body(value)
 
 
 class TestRingOperations:
