@@ -27,8 +27,6 @@ from .fields import parse_vector_field
 from .poly import MAX_BASIS_SIZE, parse_poly, parse_scalar
 from .subvariety import SubvarietyInput
 
-DEFAULT_SEED = density.DEFAULT_SEED
-
 EXIT_OK = 0
 EXIT_NOT_ESTABLISHED = 1
 EXIT_USAGE = 2
@@ -393,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int, default=density.DEFAULT_SEED)
         p.add_argument("-o", "--output", help="write the JSON artifact here")
 
     p = sub.add_parser("verify-identity", help="check a named bracket identity exactly")
