@@ -78,6 +78,23 @@ GOLDEN = [
         {"-o": "abb154bb1c75275cf5fa3f20074d00ceeb8e150e254eb657f8cc543fbff445d0"},
         id="codim2-axis-d5",
     ),
+    # a proper monomial ideal (x1*x2, x3), a non-reduced one (x1^2, x2) and a nonempty set
+    # of components that vanish in every generator (d/dx3 and d/dx4 on the axis in C^4)
+    pytest.param(
+        ["codim2", "--gens", "x1*x2", "x3", "-n", "3", "-d", "4"],
+        {"-o": "af0cdd192aebdb6ee9a7e32d27e01dfd10a4423e306cd9d5c4a70d455bf88088"},
+        id="codim2-monomial-ideal-d4",
+    ),
+    pytest.param(
+        ["codim2", "--gens", "x1^2", "x2", "-n", "3", "-d", "4"],
+        {"-o": "934c8fdf29561273a7daa0d98d33b77e051e0e09656ede90ede77d7a2af859ac"},
+        id="codim2-square-d4",
+    ),
+    pytest.param(
+        ["codim2", "--gens", "x1", "x2", "-n", "4", "-d", "3"],
+        {"-o": "68d0bfab7283263bf283be918d75229b9cb09d2e2fc0a8ce02da79d23f5c053b"},
+        id="codim2-axis-c4-d3",
+    ),
     pytest.param(
         ["closure", "--shear-family", "7", "--monomial-targets", "7", "-D", "7"],
         {"-o": "7eb45f309db69479ef635e2fda0de5eea1509a3b868c3f37106312ae681bcba7"},
