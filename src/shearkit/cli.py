@@ -269,13 +269,16 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _run_approx(args) -> int:
-    from . import dynamics
-
     _require_positive(args, "time", "steps", "points", "radius")
     substeps = _parse_int_list(args.substeps)
     if not substeps or any(m < 1 for m in substeps):
         raise ShearKitError("--substeps needs positive step counts, e.g. 8,16,32")
     _require_count("--substeps", *substeps)
+    # the report fits the convergence order over the step counts (dynamics.fit_loglog_slope)
+    if len(substeps) < 3:
+        raise ShearKitError("slope fitting needs at least three matched samples")
+    if len(set(substeps)) != len(substeps):
+        raise ShearKitError(f"slope fitting needs distinct x values, got {substeps}")
     # the sample and the finest sequence share the monomial bases' size budget
     if args.points > MAX_BASIS_SIZE:
         raise ShearKitError(f"--points must be at most {MAX_BASIS_SIZE}, got {args.points}")
@@ -299,6 +302,8 @@ def _run_approx(args) -> int:
             f"time slices times the largest substep count must be at most {MAX_BASIS_SIZE}, "
             f"got {slices} x {max(substeps)}"
         )
+    from . import dynamics
+
     seq, report = dynamics.approximate_isotopy(
         table if args.isotopy else [field] * slices,
         args.time,

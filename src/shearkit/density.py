@@ -24,7 +24,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add
+from operator import add, ge
 from typing import Sequence
 
 from .errors import ArityMismatch, PreconditionError, ShearKitError
@@ -471,11 +471,30 @@ def _weight(field: VectorField) -> tuple[int, ...] | None:
     return weight
 
 
-def _weight_space_dimension(weight: tuple[int, ...]) -> int:
-    """Dimension of the fields of this weight: the number of i with weight + e_i >= 0."""
-    return sum(
-        all(w + (k == i) >= 0 for k, w in enumerate(weight)) for i in range(len(weight))
-    )
+def _ideal_ceiling(basis: MonomialBasis, fields: list[VectorField]) -> dict[tuple[int, ...], int]:
+    """Weight -> dimension of that weight space of L(I, Z), which holds the closure.
+
+    I is the monomial ideal that every monomial of every component generates,
+    Z the components that are zero in every field, and L(I, Z) every V with
+    V_k in I for all k and V_k = 0 for k in Z: a Lie algebra, as each term of
+    [V, W]_k = sum_j V_j d_j W_k - W_j d_j V_k has a factor V_j or W_j in I.
+    Weight w counts each i not in Z with x^(w + e_i) in I and in `basis`.
+    """
+    monomials = {exp for field in fields for comp in field.components for exp in comp.terms}
+    live = [i for i in range(basis.nvars) if any(field.components[i].terms for field in fields)]
+    unit = (0,) * basis.nvars in monomials  # then every monomial lies in I
+    minimal: list[tuple[int, ...]] = []  # otherwise x^e does iff one of these divides it
+    if not unit:
+        for g in sorted(monomials, key=sum):
+            if not any(all(map(ge, g, h)) for h in minimal):
+                minimal.append(g)
+    ceiling: dict[tuple[int, ...], int] = {}
+    for exp in basis:
+        if unit or any(all(map(ge, exp, g)) for g in minimal):
+            for i in live:
+                weight = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
+                ceiling[weight] = ceiling.get(weight, 0) + 1
+    return ceiling
 
 
 def _pairing(coords: dict[int, Scalar], weight: tuple[int, ...]) -> Scalar:
@@ -590,7 +609,8 @@ def _graded_closure(
     w = row_weights[k]; coords[k] is its normalized row in `span`, keyed
     by component instead of by monomial coordinate.  A bracket has the
     summed weight w and degree |w| + 1 <= `degree_cap`, so nothing is
-    discarded after the depth and degree filters.
+    discarded after the depth and degree filters, and none is computed
+    once the rows of its weight reach `_ideal_ceiling`'s count.
     """
     size = len(basis)
     row_weights: list[tuple[int, ...]] = []
@@ -602,7 +622,8 @@ def _graded_closure(
     # that weight has that weight, so reducing against these rows takes the
     # steps `span` would take and yields its remainder, scale and corrections.
     pivots: dict[tuple[int, ...], dict[int, int]] = {}
-    free: dict[tuple[int, ...], int] = {}  # weight -> dimension not yet spanned
+    # weight -> its ceiling minus the rows of that weight
+    free = _ideal_ceiling(basis, [generators[k] for k in weights])
 
     def insert(vector, weight, kind: str, left: int, right: int | None, depth: int) -> None:
         by_pivot = pivots.setdefault(weight, {})
@@ -618,7 +639,7 @@ def _graded_closure(
         row = span.insert(global_coords, source=(kind, left, right))
         scale = span.scales[row]
         by_pivot[min(remainder)] = row
-        free[weight] = free.get(weight, _weight_space_dimension(weight)) - 1
+        free[weight] -= 1
         row_weights.append(weight)
         coords.append({idx // size: c for idx, c in span.vectors[row].items()})
         degrees.append(sum(weight) + 1)
@@ -630,11 +651,8 @@ def _graded_closure(
         for i in near:
             alpha = row_weights[i]
             weight = tuple(map(add, alpha, beta))
-            missing = free.get(weight)
-            if missing is None:
-                missing = free[weight] = _weight_space_dimension(weight)
-            # the span holds every field of this weight: the bracket is zero or dependent
-            if not missing:
+            # the span holds L(I, Z) at this weight: the bracket is zero or dependent
+            if not free.get(weight):
                 continue
             bracket = _weight_bracket(alpha, coords[i], beta, d)
             if bracket:
@@ -669,12 +687,15 @@ def lie_closure(
     every basis element, and the closure runs on weight coordinates: a
     field of weight a is {i: c_i}, meaning sum c_i x^(a + e_i) d/dx_i, and
     the bracket of (a, c) with (b, d) is <c, b> d - <d, a> c, of weight
-    a + b.  A bracket is reduced only against the rows of its weight, a
-    pair is skipped once the span holds that whole weight space, and only
-    an independent remainder enters the shared span.  The certificate is
-    byte-identical to bracketing and reducing every pair.  A family with a
-    non-homogeneous generator, such as codim2 on x1, x2 - x3^2, brackets
-    with `VectorField.bracket` and reduces in global coordinates.
+    a + b.  A bracket is reduced only against the rows of its weight, and
+    only an independent remainder enters the shared span.  The fields whose
+    components lie in the generators' monomial ideal, and vanish wherever
+    every generator does, form a Lie algebra that holds the closure; a pair
+    is skipped once the span holds all of them of its weight (the ceiling).
+    The certificate is byte-identical to bracketing and reducing every
+    pair.  A family with a non-homogeneous generator, such as codim2 on
+    x1, x2 - x3^2, brackets with `VectorField.bracket` and reduces in
+    global coordinates.
     """
     generators = list(generators)
     if not generators:

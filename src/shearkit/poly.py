@@ -391,8 +391,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             start = pos
             while pos < n and text[pos].isdigit():
                 pos += 1
-            numerator = int(text[start:pos])
-            value = Fraction(numerator)
+            value = int(text[start:pos])
             # a directly attached "/q" is part of the rational literal
             if pos < n and text[pos] == "/" and pos + 1 < n and text[pos + 1].isdigit():
                 pos += 1
@@ -402,7 +401,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 denominator = int(text[dstart:pos])
                 if denominator == 0:
                     raise ParseError("zero denominator", dstart)
-                value = Fraction(numerator, denominator)
+                value = Fraction(value, denominator)
             imaginary = False
             if pos < n and text[pos] == "i":
                 imaginary = True
@@ -513,7 +512,8 @@ class _Parser:
                     raise ParseError("denominator must be an integer", dpos)
                 if dvalue[0] == 0:
                     raise ParseError("zero denominator", dpos)
-                rational = rational / dvalue[0]
+                # int / int would be a float
+                rational = Fraction(rational, dvalue[0])
             coeff = Scalar.exact(0, rational) if imaginary else Scalar.exact(rational)
             return Poly.constant(self.nvars, coeff)
         if kind == _TOKEN_IMAG:

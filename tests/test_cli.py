@@ -175,6 +175,22 @@ class TestApprox:
         assert written[0] == written[1]
 
 
+    @pytest.mark.parametrize("substeps", ["8,8,8", "2048,4096"], ids=["repeated", "two"])
+    def test_unfittable_substeps_are_refused_before_any_flow(self, monkeypatch, capsys, substeps):
+        from shearkit import dynamics
+
+        counts = [int(m) for m in substeps.split(",")]
+        with pytest.raises(dynamics.PreconditionError) as fit:
+            dynamics.fit_loglog_slope(counts, [1.0] * len(counts))
+        calls = []
+        monkeypatch.setattr(dynamics, "integrate_flow", lambda *args: calls.append(args))
+        code = run_cli("approx", "--field", "[0; x2^2]", "--substeps", substeps)
+        assert code == EXIT_USAGE
+        assert calls == []
+        # the message the slope fit itself gives
+        assert capsys.readouterr().err == f"error: {fit.value}\n"
+
+
 class TestBasin:
     def test_builtin_map_artifacts(self, tmp_path, capsys):
         csv = tmp_path / "basin.csv"

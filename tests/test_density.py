@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shearkit import density
 from shearkit.density import (
     BasisRecord,
     _exact_det,
+    _ideal_ceiling,
+    _weight,
     _weight_bracket,
     LieClosureCertificate,
     TargetRecord,
@@ -32,6 +35,7 @@ from shearkit.fields import VectorField, kernel_basis, parse_vector_field
 from shearkit.linalg import TrackedSpan
 from shearkit.poly import MonomialBasis, Poly, grlex_key, parse_poly
 from shearkit.scalars import Scalar
+from shearkit.subvariety import SubvarietyInput, codim2_module_certificate
 
 from conftest import (
     bracket_by_definition,
@@ -481,6 +485,117 @@ def test_closure_matches_reference_on_homogeneous_families(family):
     _assert_closure_matches_reference(
         gens, degree_cap, depth_cap, monomial_field_targets(gens[0].nvars, degree_cap)
     )
+
+
+@st.composite
+def ideal_families(draw):
+    """Weight-homogeneous families without a constant term and with a component
+    that is zero in every generator: a proper monomial ideal I and a nonempty Z."""
+    nvars = draw(st.integers(2, 3))
+    degree_cap = draw(st.integers(1, 3))
+    live = draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=nvars - 1, unique=True))
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        exp = tuple(draw(_exponent(nvars, degree_cap).filter(any)))
+        index = draw(st.sampled_from(live))
+        weight = [e - (k == index) for k, e in enumerate(exp)]
+        comps = [Poly.zero(nvars)] * nvars
+        # the field x^exp d/dx_index, or every live x^(w + e_k) d/dx_k of its weight w
+        for k in [index] if draw(st.booleans()) else live:
+            shifted = [w + (j == k) for j, w in enumerate(weight)]
+            if min(shifted) >= 0 and any(shifted):
+                comps[k] = Poly.monomial(nvars, shifted, draw(gaussian_rationals))
+        gens.append(VectorField(comps))
+    return gens, degree_cap, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ideal_families())
+# I = (x1, x2) and Z = {3}: the generators of codim2 on the axis line at target degree 1
+@example(([F(t) for t in ("[x2; 0; 0]", "[x1*x2; 0; 0]", "[x2^2; 0; 0]", "[x2*x3; 0; 0]",
+                          "[0; x1; 0]", "[0; x1^2; 0]", "[0; x1*x2; 0]", "[0; x1*x3; 0]")], 3, 4))
+# a non-reduced I = (x1^2, x2) with Z = {3}
+@example(([F(t) for t in ("[x2; 0; 0]", "[x2^2; 0; 0]", "[0; x1^2; 0]", "[0; x1^3; 0]")], 3, 4))
+def test_closure_matches_reference_on_proper_ideal_families(family):
+    gens, degree_cap, depth_cap = family
+    _assert_closure_matches_reference(
+        gens, degree_cap, depth_cap, monomial_field_targets(gens[0].nvars, degree_cap)
+    )
+
+
+def _basis_fields(cert):
+    """The basis fields, rebuilt from the records as `replay_closure` rebuilds them."""
+    fields = []
+    for rec in cert.basis:
+        if rec.source_kind == "generator":
+            raw = cert.generators[rec.left]
+        else:
+            raw = fields[rec.left].bracket(fields[rec.right])
+        combined = raw.scale(rec.scale)
+        for coeff, idx in rec.corrections:
+            combined = combined + fields[idx].scale(coeff)
+        fields.append(combined)
+    return fields
+
+
+def _ceiling_model(generators, weight):
+    """dim L(I, Z)_w counted from the definition: the i outside Z for which
+    x^(w + e_i) is a multiple of some monomial of some generator."""
+    monomials = [exp for gen in generators for comp in gen.components for exp in comp.terms]
+    count = 0
+    for i in range(len(weight)):
+        if all(gen.components[i].is_zero() for gen in generators):
+            continue
+        exp = [w + (k == i) for k, w in enumerate(weight)]
+        if min(exp) >= 0 and any(all(e >= m for e, m in zip(exp, mono)) for mono in monomials):
+            count += 1
+    return count
+
+
+def _codim2_closure(generators, nvars, degree):
+    data = SubvarietyInput(nvars, tuple(P(g, nvars) for g in generators))
+    return codim2_module_certificate(data, degree).closure
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lie_closure(shear_generator_family(5, 2), 5),
+        lambda: lie_closure(shear_generator_family(3, 3), 3),
+        lambda: _codim2_closure(["x1", "x2"], 3, 4),
+        lambda: _codim2_closure(["x1*x2", "x3"], 3, 4),
+        lambda: _codim2_closure(["x1^2", "x2"], 3, 4),
+        lambda: _codim2_closure(["x1", "x2"], 4, 3),
+    ],
+    ids=["shear2-D5", "shear3-D3", "codim2-axis-d4", "codim2-monomial-ideal-d4",
+         "codim2-square-d4", "codim2-axis-c4-d3"],
+)
+def test_no_weight_holds_more_rows_than_its_ceiling(build):
+    cert = build()
+    generators = [gen for gen in cert.generators if not gen.is_zero()]
+    basis = MonomialBasis(cert.nvars, cert.degree_cap)
+    ceiling = _ideal_ceiling(basis, generators)
+    # every weight of a field up to the cap, with its dimension in L(I, Z)
+    weights = {exp[:i] + (exp[i] - 1,) + exp[i + 1:] for exp in basis for i in range(cert.nvars)}
+    assert ceiling == {
+        w: _ceiling_model(generators, w) for w in weights if _ceiling_model(generators, w)
+    }
+    rows = {}
+    for field in _basis_fields(cert):
+        weight = _weight(field)
+        rows[weight] = rows.get(weight, 0) + 1
+    assert all(count <= ceiling[weight] for weight, count in rows.items())
+    # the ceiling is reached: those weights' later brackets are not computed
+    assert any(count == ceiling[weight] for weight, count in rows.items())
+
+
+def test_codim2_axis_skips_the_brackets_above_the_ceiling(monkeypatch):
+    # skipping only the weights whose whole space is spanned leaves 35,385 brackets here
+    calls = []
+    bracket = density._weight_bracket
+    monkeypatch.setattr(density, "_weight_bracket", lambda *args: calls.append(1) or bracket(*args))
+    _codim2_closure(["x1", "x2"], 3, 6)
+    assert len(calls) <= 35_385 // 10
 
 
 @st.composite

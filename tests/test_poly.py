@@ -80,6 +80,28 @@ class TestParsing:
         with pytest.raises(ParseError):
             P("1 / 0", 2)
 
+    @pytest.mark.parametrize(
+        "text, exp, re, im",
+        [
+            ("3", (0,), Fraction(3), Fraction(0)),
+            ("3/6", (0,), Fraction(1, 2), Fraction(0)),
+            # a spaced "p / q" divides exactly: two ints must not give a float
+            ("1 / 2", (0,), Fraction(1, 2), Fraction(0)),
+            ("1/2 / 3", (0,), Fraction(1, 6), Fraction(0)),
+            ("2i", (0,), Fraction(0), Fraction(2)),
+            ("x1^2", (2,), Fraction(1), Fraction(0)),
+        ],
+    )
+    def test_literals_give_the_scalars_of_a_fraction_model(self, text, exp, re, im):
+        coeff = P(text, 1).coefficient(exp)
+        model = Scalar.exact(re, im)
+        assert (coeff.a, coeff.b, coeff.d) == (model.a, model.b, model.d)
+        assert {type(coeff.a), type(coeff.b), type(coeff.d)} == {int}
+
+    def test_fractional_exponent_rejected(self):
+        with pytest.raises(ParseError):
+            P("x1^2/3", 1)
+
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ParseError) as info:
             P("2x1", 2)
