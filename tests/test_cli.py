@@ -9,6 +9,7 @@ import pytest
 
 import shearkit
 from shearkit.cli import EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, build_parser, run
+from shearkit.errors import PreconditionError
 
 
 def run_cli(*argv):
@@ -174,13 +175,12 @@ class TestApprox:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
-
     @pytest.mark.parametrize("substeps", ["8,8,8", "2048,4096"], ids=["repeated", "two"])
     def test_unfittable_substeps_are_refused_before_any_flow(self, monkeypatch, capsys, substeps):
         from shearkit import dynamics
 
         counts = [int(m) for m in substeps.split(",")]
-        with pytest.raises(dynamics.PreconditionError) as fit:
+        with pytest.raises(PreconditionError) as fit:
             dynamics.fit_loglog_slope(counts, [1.0] * len(counts))
         calls = []
         monkeypatch.setattr(dynamics, "integrate_flow", lambda *args: calls.append(args))
