@@ -37,7 +37,7 @@ from .fields import (
     shear_pair_residual,
 )
 # no code here calls rref; perfbench/tracing.py patches the name density.rref
-from .linalg import TrackedSpan, _eliminate, _sub_scaled, nullspace, rref  # noqa: F401
+from .linalg import TrackedSpan, _sub_scaled, nullspace, rref  # noqa: F401
 from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, _trusted_poly
 from .scalars import ONE, ZERO, Scalar
 from . import serialize
@@ -607,44 +607,36 @@ def _graded_closure(
     `weights` maps each nonzero generator's index to its weight.  Row k is
     the field sum coords[k][i] x^(w + e_i) d/dx_i of weight
     w = row_weights[k]; coords[k] is its normalized row in `span`, keyed
-    by component instead of by monomial coordinate.  A bracket has the
-    summed weight w and degree |w| + 1 <= `degree_cap`, so nothing is
-    discarded after the depth and degree filters, and none is computed
-    once the rows of its weight reach `_ideal_ceiling`'s count.
+    by component instead of by monomial coordinate.  Each bracket goes
+    into `span`, which reduces it only by rows of its own weight: a row's
+    pivot fixes its weight.  A bracket has the summed weight w and degree
+    |w| + 1 <= `degree_cap`, so nothing is discarded after the depth and
+    degree filters, and none is computed once the rows of its weight reach
+    `_ideal_ceiling`'s count.
     """
     size = len(basis)
     row_weights: list[tuple[int, ...]] = []
     coords: list[dict[int, Scalar]] = []
     degrees: list[int] = []
     records: list[BasisRecord] = []
-    # weight -> component pivot -> row.  Within one weight the global index
-    # i * size + k orders coordinates by i, and every row whose pivot has
-    # that weight has that weight, so reducing against these rows takes the
-    # steps `span` would take and yields its remainder, scale and corrections.
-    pivots: dict[tuple[int, ...], dict[int, int]] = {}
     # weight -> its ceiling minus the rows of that weight
     free = _ideal_ceiling(basis, [generators[k] for k in weights])
 
     def insert(vector, weight, kind: str, left: int, right: int | None, depth: int) -> None:
-        by_pivot = pivots.setdefault(weight, {})
-        remainder, combo = _eliminate(vector, by_pivot, coords)
-        if not remainder:
-            return
+        # component i is the monomial coordinate i * size + (index of x^(w + e_i))
         global_coords = {
             i * size + basis.index_of([w + (k == i) for k, w in enumerate(weight)]): c
-            for i, c in remainder.items()
+            for i, c in vector.items()
         }
-        # `span` holds the rows for target reduction; this remainder is already
-        # reduced there, so its provenance lives in the record, not in `span`
         row = span.insert(global_coords, source=(kind, left, right))
-        scale = span.scales[row]
-        by_pivot[min(remainder)] = row
+        if row is None:
+            return
         free[weight] -= 1
         row_weights.append(weight)
         coords.append({idx // size: c for idx, c in span.vectors[row].items()})
         degrees.append(sum(weight) + 1)
-        corrections = tuple((-(factor * scale), idx) for factor, idx in combo)
-        records.append(BasisRecord(kind, left, right, scale, corrections, depth))
+        corrections = tuple(span.corrections[row])
+        records.append(BasisRecord(kind, left, right, span.scales[row], corrections, depth))
 
     def bracket_with(j: int, near: list[int], depth: int) -> int:
         beta, d = row_weights[j], coords[j]
@@ -687,11 +679,11 @@ def lie_closure(
     every basis element, and the closure runs on weight coordinates: a
     field of weight a is {i: c_i}, meaning sum c_i x^(a + e_i) d/dx_i, and
     the bracket of (a, c) with (b, d) is <c, b> d - <d, a> c, of weight
-    a + b.  A bracket is reduced only against the rows of its weight, and
-    only an independent remainder enters the shared span.  The fields whose
-    components lie in the generators' monomial ideal, and vanish wherever
-    every generator does, form a Lie algebra that holds the closure; a pair
-    is skipped once the span holds all of them of its weight (the ceiling).
+    a + b.  Each bracket goes into the shared span, which reduces it only
+    by rows of its own weight.  The fields whose components lie in the
+    generators' monomial ideal, and vanish wherever every generator does,
+    form a Lie algebra that holds the closure; a pair is skipped once the
+    span holds all of them of its weight (the ceiling).
     The certificate is byte-identical to bracketing and reducing every
     pair.  A family with a non-homogeneous generator, such as codim2 on
     x1, x2 - x3^2, brackets with `VectorField.bracket` and reduces in

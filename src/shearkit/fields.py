@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import ArityMismatch, ParseError, PreconditionError, RegimeMismatch
 from .linalg import nullspace
 from .poly import MonomialBasis, Poly, _trusted_poly, format_poly, parse_poly
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 __all__ = [
     "VectorField",
@@ -449,7 +449,7 @@ def flow_semisimple(weights: Sequence[int], lam: Scalar) -> PolyMap:
             for i in range(nvars)
         ]
 
-    inv = lam.one_like() / lam
+    inv = ONE / lam
     return PolyMap.with_inverse(build(lam), build(inv), verify=False)
 
 

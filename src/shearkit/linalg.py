@@ -8,8 +8,7 @@ which is what makes emitted certificates replayable.  `nullspace`
 reads the kernel off the dependent sparse columns.  `rref`, a dense
 view of the reduced row echelon form, has no caller in the package;
 it stays for callers outside it.  Both results are canonical, so they
-do not depend on the engine.  Its reduction loop, `_eliminate`, also
-reduces `lie_closure`'s brackets inside one weight space.
+do not depend on the engine.
 """
 
 from __future__ import annotations
@@ -32,29 +31,6 @@ def _sub_scaled(target: dict, coeff: Scalar, row: dict, skip: int | None = None)
             target.pop(key, None)
         else:
             target[key] = s
-
-
-def _eliminate(
-    vector: dict[int, Scalar], by_pivot: dict[int, int], rows: Sequence[dict[int, Scalar]]
-) -> tuple[dict[int, Scalar], list[tuple[Scalar, int]]]:
-    """Reduce a copy of vector by rows that are 1 at their pivot, smallest pivot first.
-
-    by_pivot maps a pivot to the index in rows of the row that has it.
-    Returns the remainder, whose smallest index is no pivot, and the
-    (factor, row index) steps subtracted, in order.
-    """
-    work = dict(vector)
-    combo: list[tuple[Scalar, int]] = []
-    while work:
-        pivot = min(work)
-        row_idx = by_pivot.get(pivot)
-        if row_idx is None:
-            break
-        # the row is 1 at its pivot, so that entry cancels exactly
-        factor = work.pop(pivot)
-        _sub_scaled(work, factor, rows[row_idx], pivot)
-        combo.append((factor, row_idx))
-    return work, combo
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
@@ -114,7 +90,20 @@ class TrackedSpan:
         return len(self.vectors)
 
     def _reduce(self, vector: dict[int, Scalar]) -> tuple[dict[int, Scalar], list[tuple[Scalar, int]]]:
-        return _eliminate(vector, self._by_pivot, self.vectors)
+        """`reduce`, smallest pivot first: the remainder's smallest index is no pivot."""
+        by_pivot, rows = self._by_pivot, self.vectors
+        work = dict(vector)
+        combo: list[tuple[Scalar, int]] = []
+        while work:
+            pivot = min(work)
+            row_idx = by_pivot.get(pivot)
+            if row_idx is None:
+                break
+            # the row is 1 at its pivot, so that entry cancels exactly
+            factor = work.pop(pivot)
+            _sub_scaled(work, factor, rows[row_idx], pivot)
+            combo.append((factor, row_idx))
+        return work, combo
 
     def reduce(self, vector: dict[int, Scalar]) -> tuple[dict[int, Scalar], list[tuple[Scalar, int]]]:
         """Remainder after reduction and the row combination removed.
@@ -142,7 +131,7 @@ class TrackedSpan:
         pivot = min(remainder)
         lead = remainder[pivot]
         normalized = {idx: val / lead for idx, val in remainder.items()}
-        inv = lead.one_like() / lead
+        inv = ONE / lead
         # row = inv * vector - sum(factor * inv * row_k) over the reduction combo
         corrections = [(-(factor * inv), idx) for factor, idx in combo]
         row_idx = len(self.vectors)

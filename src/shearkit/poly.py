@@ -494,7 +494,8 @@ class _Parser:
         if kind == _TOKEN_OP and value == "^":
             self.advance()
             kind, value, pos = self.advance()
-            if kind != _TOKEN_NUM or value[1] or value[0].denominator != 1:
+            # _tokenize keeps integer literals as int, so a Fraction here came from p/q
+            if kind != _TOKEN_NUM or value[1] or not isinstance(value[0], int):
                 raise ParseError("exponent must be a non-negative integer", pos)
             base = base ** int(value[0])
         return base

@@ -139,9 +139,6 @@ class Scalar:
             out = out * base
         return out
 
-    def one_like(self) -> "Scalar":
-        return ONE
-
     def is_zero(self) -> bool:
         return not (self.a or self.b)
 

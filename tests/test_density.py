@@ -589,6 +589,30 @@ def test_no_weight_holds_more_rows_than_its_ceiling(build):
     assert any(count == ceiling[weight] for weight, count in rows.items())
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lie_closure(shear_generator_family(4), 4),
+        lambda: _codim2_closure(["x1", "x2"], 3, 3),
+        lambda: _codim2_closure(["x1*x2", "x3"], 3, 4),
+    ],
+    ids=["shear2-D4", "codim2-axis-d3", "codim2-monomial-ideal-d4"],
+)
+def test_graded_closure_span_holds_the_certificate_provenance(build):
+    cert = build()
+    weights = {k: _weight(gen) for k, gen in enumerate(cert.generators) if not gen.is_zero()}
+    basis = MonomialBasis(cert.nvars, cert.degree_cap)
+    span = TrackedSpan()
+    records, _ = density._graded_closure(
+        cert.generators, weights, basis, span, cert.degree_cap, cert.depth_cap
+    )
+    # so span.expand_row(k) is row k over the sources, as the record says
+    assert span.dimension == len(records) == len(cert.basis)
+    for k, rec in enumerate(records):
+        assert span.scales[k] == rec.scale
+        assert tuple(span.corrections[k]) == rec.corrections
+
+
 def test_codim2_axis_skips_the_brackets_above_the_ceiling(monkeypatch):
     # skipping only the weights whose whole space is spanned leaves 35,385 brackets here
     calls = []

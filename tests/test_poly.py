@@ -90,6 +90,8 @@ class TestParsing:
             ("1/2 / 3", (0,), Fraction(1, 6), Fraction(0)),
             ("2i", (0,), Fraction(0), Fraction(2)),
             ("x1^2", (2,), Fraction(1), Fraction(0)),
+            ("x1^6", (6,), Fraction(1), Fraction(0)),
+            ("(1/2)*x1^6", (6,), Fraction(1, 2), Fraction(0)),
         ],
     )
     def test_literals_give_the_scalars_of_a_fraction_model(self, text, exp, re, im):
@@ -99,8 +101,10 @@ class TestParsing:
         assert {type(coeff.a), type(coeff.b), type(coeff.d)} == {int}
 
     def test_fractional_exponent_rejected(self):
-        with pytest.raises(ParseError):
-            P("x1^2/3", 1)
+        # "6/2" after "^" is a rational literal, not the exponent 3, so it fails like "2/3"
+        for text in ("x1^2/3", "x1^6/2", "x1^4/2*x1", "x1/2", "x1^6 / 2"):
+            with pytest.raises(ParseError):
+                P(text, 1)
 
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ParseError) as info:
