@@ -3,7 +3,8 @@
 A refactor that keeps every verdict must also keep these hashes.  A change
 that moves one on purpose says which one and why.  An argument containing
 ``{work}`` names a file in the test's directory: the 3-variable shear family
-at degree 3 is written there as ``shear3-D3.txt``, the map of `MAP` as
+at degree 3 is written there as ``shear3-D3.txt``, the fields of `MIXED` and
+`MIXED_TARGETS` as ``mixed.txt`` and ``mixed-targets.txt``, the map of `MAP` as
 ``map.json`` and the isotopy of `ISOTOPY` as ``iso.json``.
 """
 
@@ -26,6 +27,12 @@ MAP = {
     ],
 }
 ISOTOPY = {"fields": ["[0; x2^2]", "[x2; 0]"]}
+# generators with terms of different weights (x2 and x2^2), and targets that their
+# brackets of depth 1 and 2 reach
+MIXED = ["[x2 + x2^2; 0]", "[0; x1]"]
+MIXED_TARGETS = [
+    "[-2*x1*x2 - x1; x2^2 + x2]", "[-2*x1^2; 4*x1*x2 + 2*x1]", "[2*x2^3 + 3*x2^2 + x2; 0]"
+]
 
 GOLDEN = [
     pytest.param(
@@ -61,6 +68,17 @@ GOLDEN = [
         ["codim2", "--gens", "x1", "x2-x3^2", "-n", "3", "-d", "3"],
         {"-o": "c26801d687b4e65e3dca30cf63a0cab2b533e8d1fff7794f043c27060de3a676"},
         id="codim2-parabola-d3",
+    ),
+    pytest.param(
+        ["codim2", "--gens", "x1", "x2-x3^2", "-n", "3", "-d", "4"],
+        {"-o": "b263f93b1a3043067c8ef0d5e7037f78ea693f759acf629c5ad9de21b1bcdc67"},
+        id="codim2-parabola-d4",
+    ),
+    pytest.param(
+        ["closure", "--generators", "{work}/mixed.txt", "--targets", "{work}/mixed-targets.txt",
+         "-D", "4"],
+        {"-o": "e71c1cd89bcf8401e244c4cfb22364f98d3ffc4b6c415dff1e14471091d46613"},
+        id="closure-mixed-weights-D4",
     ),
     pytest.param(
         ["closure", "--generators", "{work}/shear3-D3.txt", "--monomial-targets", "3", "-D", "3"],
@@ -193,6 +211,8 @@ GOLDEN = [
 def test_artifact_bytes_are_pinned(tmp_path, argv, outputs):
     family = [format_vector_field(g) for g in shear_generator_family(3, 3)]
     (tmp_path / "shear3-D3.txt").write_text("\n".join(family) + "\n", encoding="utf-8")
+    (tmp_path / "mixed.txt").write_text("\n".join(MIXED) + "\n", encoding="utf-8")
+    (tmp_path / "mixed-targets.txt").write_text("\n".join(MIXED_TARGETS) + "\n", encoding="utf-8")
     (tmp_path / "map.json").write_text(json.dumps(MAP), encoding="utf-8")
     (tmp_path / "iso.json").write_text(json.dumps(ISOTOPY), encoding="utf-8")
     argv = [part.replace("{work}", str(tmp_path)) for part in argv]
