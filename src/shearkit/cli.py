@@ -143,6 +143,10 @@ def _run_compat(args) -> int:
 
 def _run_closure(args) -> int:
     _require_positive(args, "degree_cap", "depth")
+    for name in ("shear_family", "monomial_targets"):
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise ShearKitError(f"parameter {name} must be non-negative, got {value}")
     if args.generators:
         generators = _read_fields_file(args.generators, None)
         if not generators:

@@ -24,7 +24,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, ge
+from operator import add, ge, mul
 from typing import Sequence
 
 from .errors import ArityMismatch, PreconditionError, ShearKitError
@@ -447,28 +447,31 @@ def closure_from_json_dict(doc: dict) -> LieClosureCertificate:
     )
 
 
-def _field_coords(field: VectorField, basis: MonomialBasis) -> dict[int, Scalar]:
-    size = len(basis)
-    return {
-        i * size + k: c
-        for i, comp in enumerate(field.components)
-        for k, c in basis.coords(comp).items()
-    }
+def _weight_pieces(field: VectorField) -> dict[tuple[int, ...], dict[int, Scalar]]:
+    """The field as weight w -> {i: c_i}, its terms c_i x^(w + e_i) d/dx_i of weight w."""
+    pieces: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    for i, comp in enumerate(field.components):
+        for exp, c in comp.terms.items():
+            pieces.setdefault(exp[:i] + (exp[i] - 1,) + exp[i + 1 :], {})[i] = c
+    return pieces
 
 
 def _weight(field: VectorField) -> tuple[int, ...] | None:
     """The weight a - e_i shared by every term x^a d/dx_i, or None if they differ."""
-    weight = None
-    for i, comp in enumerate(field.components):
-        for exp in comp.terms:
-            term_weight = list(exp)
-            term_weight[i] -= 1
-            term_weight = tuple(term_weight)
-            if weight is None:
-                weight = term_weight
-            elif term_weight != weight:
-                return None
-    return weight
+    pieces = _weight_pieces(field)
+    return next(iter(pieces)) if len(pieces) == 1 else None
+
+
+def _monomial_coords(
+    pieces: dict[tuple[int, ...], dict[int, Scalar]], basis: MonomialBasis
+) -> dict[int, Scalar]:
+    """Coordinates of c_i x^(w + e_i) d/dx_i at i * len(basis) + index of x^(w + e_i)."""
+    size = len(basis)
+    return {
+        i * size + basis.index_of(w[:i] + (w[i] + 1,) + w[i + 1 :]): c
+        for w, coords in pieces.items()
+        for i, c in coords.items()
+    }
 
 
 def _ideal_ceiling(basis: MonomialBasis, fields: list[VectorField]) -> dict[tuple[int, ...], int]:
@@ -524,139 +527,90 @@ def _weight_bracket(
     return out
 
 
-def _bracket_rounds(degrees: list[int], degree_cap: int, depth_cap: int, bracket_with) -> int:
-    """Run the bracket rounds over the rows; returns the pairs the degree filter discards.
+def _closure(
+    generators: list[VectorField], basis: MonomialBasis, span: TrackedSpan, depth_cap: int
+) -> tuple[list[BasisRecord], int]:
+    """Close the generators under brackets in weight coordinates, reducing in `span`.
 
-    Round r brackets each row of depth r - 1 (the frontier) with every
-    earlier row; no earlier row is deeper, so every bracket has depth r.
-    A bracket's degree is at most the sum of its factors' degrees minus
-    one, so row j meets only the earlier rows within `degree_cap`:
-    ``bracket_with(j, near, depth)`` brackets those, appends a degree to
-    `degrees` per new row and returns the brackets it discarded itself.
+    Row k holds its weight pieces; the bracket of two rows is the sum of
+    `_weight_bracket` over their piece pairs.  Round r brackets each row of
+    depth r - 1 (the frontier) with every earlier row; no earlier row is
+    deeper, so every bracket has depth r.  A bracket's degree is at most
+    the sum of its factors' degrees minus one, so row j meets only the
+    earlier rows within the cap; the rest count as discarded.  When every
+    row has one weight, a pair is skipped once the rows of its weight reach
+    `_ideal_ceiling`'s count: the bracket is then zero or dependent.
     """
+    size, degree_cap = len(basis), basis.degree
+    # weight w as the integer sum of w_k * radix^k, which adds as w does: the weights of
+    # fields and of pairs within the cap have entries in [-2, degree_cap + 1], so two of
+    # them differ by less than radix in each entry, and distinct ones get distinct keys
+    radix = degree_cap + 4
+    powers = [radix**k for k in range(basis.nvars)]
+
+    def key(weight: tuple[int, ...]) -> int:
+        return sum(map(mul, weight, powers))
+
+    rows: list[tuple[tuple[int, tuple[int, ...], dict[int, Scalar]], ...]] = []
+    degrees: list[int] = []
+    records: list[BasisRecord] = []
+    # the nonzero generators' weight pieces, by generator index
+    pieces = {k: p for k, gen in enumerate(generators) if (p := _weight_pieces(gen))}
+    # weight key -> its ceiling minus the rows of that weight, if every generator has one weight
+    free = None
+    if all(len(p) == 1 for p in pieces.values()):
+        ceiling = _ideal_ceiling(basis, [generators[k] for k in pieces])
+        free = {key(w): count for w, count in ceiling.items()}
+
+    def insert(parts, kind: str, left: int, right: int | None, depth: int) -> None:
+        row = span.insert(_monomial_coords(parts, basis), source=(kind, left, right))
+        if row is None:
+            return
+        # the normalized row, split back into its weight pieces
+        parts = {}
+        for idx, c in span.vectors[row].items():
+            i, m = divmod(idx, size)
+            exp = basis.exponents[m]
+            parts.setdefault(exp[:i] + (exp[i] - 1,) + exp[i + 1 :], {})[i] = c
+        rows.append(tuple((key(w), w, coords) for w, coords in parts.items()))
+        if free is not None:
+            free[rows[-1][0][0]] -= 1  # the key of the row's one piece
+        degrees.append(max(map(sum, parts)) + 1)
+        corrections = tuple(span.corrections[row])
+        records.append(BasisRecord(kind, left, right, span.scales[row], corrections, depth))
+
+    for k, p in pieces.items():
+        insert(p, "generator", k, None, 0)
     discarded = 0
-    frontier = list(range(len(degrees)))
+    frontier = list(range(len(rows)))
     depth = 1
     while frontier and depth <= depth_cap:
-        round_start = len(degrees)
+        round_start = len(rows)
         for j in frontier:
             room = degree_cap + 1 - degrees[j]
             near = [i for i in range(j) if degrees[i] <= room]
-            discarded += j - len(near) + bracket_with(j, near, depth)
-        frontier = list(range(round_start, len(degrees)))
+            discarded += j - len(near)
+            right = rows[j]
+            for i in near:
+                parts = {}
+                for a, alpha, c in rows[i]:
+                    for b, beta, d in right:
+                        if free is not None and not free.get(a + b):
+                            continue
+                        piece = _weight_bracket(alpha, c, beta, d)
+                        if not piece:
+                            continue
+                        weight = tuple(map(add, alpha, beta))
+                        merged = parts.setdefault(weight, piece)
+                        if merged is not piece:  # add the piece to the part of its weight
+                            _sub_scaled(merged, -ONE, piece)
+                            if not merged:
+                                del parts[weight]
+                if parts:
+                    insert(parts, "bracket", i, j, depth)
+        frontier = list(range(round_start, len(rows)))
         depth += 1
-    return discarded
-
-
-def _generic_closure(
-    generators: list[VectorField],
-    nonzero: list[int],
-    basis: MonomialBasis,
-    span: TrackedSpan,
-    degree_cap: int,
-    depth_cap: int,
-) -> tuple[list[BasisRecord], int]:
-    """Close under `VectorField.bracket`, reducing monomial coordinates in `span`."""
-    nvars, size = basis.nvars, len(basis)
-    fields: list[VectorField] = []
-    degrees: list[int] = []  # fields[k].degree, which is costly to recompute per pair
-    records: list[BasisRecord] = []
-
-    def insert(raw: VectorField, kind: str, left: int, right: int | None, depth: int) -> None:
-        row = span.insert(_field_coords(raw, basis), source=(kind, left, right))
-        if row is None:
-            return
-        # the row is fields[row]: index i * size + m is component i, monomial exponents[m]
-        components: list[dict[tuple[int, ...], Scalar]] = [{} for _ in range(nvars)]
-        for idx, c in span.vectors[row].items():
-            i, m = divmod(idx, size)
-            components[i][basis.exponents[m]] = c
-        field = VectorField([_trusted_poly(nvars, terms) for terms in components])
-        fields.append(field)
-        degrees.append(field.degree)
-        corrections = tuple(span.corrections[row])
-        records.append(BasisRecord(kind, left, right, span.scales[row], corrections, depth))
-
-    def bracket_with(j: int, near: list[int], depth: int) -> int:
-        discarded = 0
-        for i in near:
-            bracket = fields[i].bracket(fields[j])
-            if bracket.is_zero():
-                continue
-            if bracket.degree > degree_cap:
-                discarded += 1
-                continue
-            insert(bracket, "bracket", i, j, depth)
-        return discarded
-
-    for k in nonzero:
-        insert(generators[k], "generator", k, None, 0)
-    return records, _bracket_rounds(degrees, degree_cap, depth_cap, bracket_with)
-
-
-def _graded_closure(
-    generators: list[VectorField],
-    weights: dict[int, tuple[int, ...]],
-    basis: MonomialBasis,
-    span: TrackedSpan,
-    degree_cap: int,
-    depth_cap: int,
-) -> tuple[list[BasisRecord], int]:
-    """Close weight-homogeneous generators in weight coordinates.
-
-    `weights` maps each nonzero generator's index to its weight.  Row k is
-    the field sum coords[k][i] x^(w + e_i) d/dx_i of weight
-    w = row_weights[k]; coords[k] is its normalized row in `span`, keyed
-    by component instead of by monomial coordinate.  Each bracket goes
-    into `span`, which reduces it only by rows of its own weight: a row's
-    pivot fixes its weight.  A bracket has the summed weight w and degree
-    |w| + 1 <= `degree_cap`, so nothing is discarded after the depth and
-    degree filters, and none is computed once the rows of its weight reach
-    `_ideal_ceiling`'s count.
-    """
-    size = len(basis)
-    row_weights: list[tuple[int, ...]] = []
-    coords: list[dict[int, Scalar]] = []
-    degrees: list[int] = []
-    records: list[BasisRecord] = []
-    # weight -> its ceiling minus the rows of that weight
-    free = _ideal_ceiling(basis, [generators[k] for k in weights])
-
-    def insert(vector, weight, kind: str, left: int, right: int | None, depth: int) -> None:
-        # component i is the monomial coordinate i * size + (index of x^(w + e_i))
-        global_coords = {
-            i * size + basis.index_of([w + (k == i) for k, w in enumerate(weight)]): c
-            for i, c in vector.items()
-        }
-        row = span.insert(global_coords, source=(kind, left, right))
-        if row is None:
-            return
-        free[weight] -= 1
-        row_weights.append(weight)
-        coords.append({idx // size: c for idx, c in span.vectors[row].items()})
-        degrees.append(sum(weight) + 1)
-        corrections = tuple(span.corrections[row])
-        records.append(BasisRecord(kind, left, right, span.scales[row], corrections, depth))
-
-    def bracket_with(j: int, near: list[int], depth: int) -> int:
-        beta, d = row_weights[j], coords[j]
-        for i in near:
-            alpha = row_weights[i]
-            weight = tuple(map(add, alpha, beta))
-            # the span holds L(I, Z) at this weight: the bracket is zero or dependent
-            if not free.get(weight):
-                continue
-            bracket = _weight_bracket(alpha, coords[i], beta, d)
-            if bracket:
-                insert(bracket, weight, "bracket", i, j, depth)
-        return 0
-
-    for k, weight in weights.items():
-        # each component of a field of one weight has at most one term
-        components = generators[k].components
-        coeffs = {i: c for i, comp in enumerate(components) for c in comp.terms.values()}
-        insert(coeffs, weight, "generator", k, None, 0)
-    return records, _bracket_rounds(degrees, degree_cap, depth_cap, bracket_with)
+    return records, discarded
 
 
 def lie_closure(
@@ -672,22 +626,19 @@ def lie_closure(
     uninformative.  Every basis element and every established target
     records an exact combination over the generators.
 
-    Fields are graded by weight: x^a d/dx_i has weight a - e_i, and the
-    fields of weight w span a space of dimension #{i : w + e_i >= 0}.
-    When every nonzero generator is weight-homogeneous (both shear
-    families, codim2 on a monomial ideal such as the axis line), so is
-    every basis element, and the closure runs on weight coordinates: a
-    field of weight a is {i: c_i}, meaning sum c_i x^(a + e_i) d/dx_i, and
-    the bracket of (a, c) with (b, d) is <c, b> d - <d, a> c, of weight
-    a + b.  Each bracket goes into the shared span, which reduces it only
-    by rows of its own weight.  The fields whose components lie in the
-    generators' monomial ideal, and vanish wherever every generator does,
-    form a Lie algebra that holds the closure; a pair is skipped once the
-    span holds all of them of its weight (the ceiling).
-    The certificate is byte-identical to bracketing and reducing every
-    pair.  A family with a non-homogeneous generator, such as codim2 on
-    x1, x2 - x3^2, brackets with `VectorField.bracket` and reduces in
-    global coordinates.
+    Fields are graded by weight: x^a d/dx_i has weight a - e_i.  Every
+    field is the sum of its weight pieces, a piece of weight a being
+    {i: c_i}, meaning sum c_i x^(a + e_i) d/dx_i, and the bracket of the
+    pieces (a, c) and (b, d) is <c, b> d - <d, a> c, of weight a + b.  So
+    the bracket of two basis elements is the sum of the brackets of their
+    piece pairs, and it goes into one span in monomial coordinates.  When
+    every nonzero generator is weight-homogeneous (both shear families,
+    codim2 on a monomial ideal such as the axis line), so is every basis
+    element.  The fields whose components lie in the generators' monomial
+    ideal, and vanish wherever every generator does, then form a Lie
+    algebra that holds the closure; a pair is skipped once the span holds
+    all of them of its weight (the ceiling).  The certificate is
+    byte-identical to bracketing and reducing every pair.
     """
     generators = list(generators)
     if not generators:
@@ -702,15 +653,7 @@ def lie_closure(
             )
     basis = MonomialBasis(nvars, degree_cap)
     span = TrackedSpan()
-    weights = {k: _weight(gen) for k, gen in enumerate(generators) if not gen.is_zero()}
-    if None in weights.values():
-        records, discarded = _generic_closure(
-            generators, list(weights), basis, span, degree_cap, depth_cap
-        )
-    else:
-        records, discarded = _graded_closure(
-            generators, weights, basis, span, degree_cap, depth_cap
-        )
+    records, discarded = _closure(generators, basis, span, depth_cap)
     depth_reached = max((rec.depth for rec in records), default=0)
 
     target_records = []
@@ -722,7 +665,7 @@ def lie_closure(
                 TargetRecord(target, False, None, "target degree exceeds the cap")
             )
             continue
-        remainder, combo = span.reduce(_field_coords(target, basis))
+        remainder, combo = span.reduce(_monomial_coords(_weight_pieces(target), basis))
         if remainder:
             target_records.append(
                 TargetRecord(target, False, None, "not in the truncated span")

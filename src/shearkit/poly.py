@@ -550,10 +550,6 @@ def parse_scalar(text: str) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def format_scalar(value: Scalar) -> str:
     """Standalone text form of a scalar in the polynomial grammar."""
     sign, body = _scalar_sign_body(value)
@@ -568,16 +564,16 @@ def _scalar_sign_body(value: Scalar) -> tuple[int, str]:
     re, im = value.re, value.im
     if im == 0:
         sign = -1 if re < 0 else 1
-        return sign, _format_rational(abs(re))
+        return sign, str(abs(re))
     if re == 0:
         sign = -1 if im < 0 else 1
         mag = abs(im)
-        return sign, "i" if mag == 1 else f"{_format_rational(mag)}i"
+        return sign, "i" if mag == 1 else f"{mag!s}i"
     sign = -1 if re < 0 else 1
     re, im = re * sign, im * sign
-    im_part = "i" if abs(im) == 1 else f"{_format_rational(abs(im))}i"
+    im_part = "i" if abs(im) == 1 else f"{abs(im)!s}i"
     connector = "+" if im > 0 else "-"
-    return sign, f"({_format_rational(re)}{connector}{im_part})"
+    return sign, f"({re!s}{connector}{im_part})"
 
 
 def _format_monomial(exponents: tuple[int, ...]) -> str:

@@ -373,6 +373,11 @@ def codim2_module_certificate(
             f"admit vanishing functions at degree {degree}"
         )
     (axis1, h1), (axis2, h2) = found
+    if degree_cap < min(h1.degree, h2.degree):
+        raise PreconditionError(
+            f"the degree cap (--degree-cap) {degree_cap} is below the degree of both "
+            f"h1 = {h1} ({h1.degree}) and h2 = {h2} ({h2.degree}): no generator fits under it"
+        )
 
     generators = []
     seen = set()

@@ -119,6 +119,15 @@ class TestCodim2:
         code = run_cli("codim2", "--ideal", str(ideal), "-d", "2")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_both_eliminants_names_the_cap_and_their_degrees(self, capsys, cap):
+        code = run_cli("codim2", "--gens", "x1", "x2", "-n", "3", "-d", "2", "-D", cap)
+        assert code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--degree-cap" in lines[0] and f" {cap} " in lines[0]
+        assert "h1 = x2 (1)" in lines[0] and "h2 = x1 (1)" in lines[0]
+
 
 class TestSlDemo:
     def test_default_run(self, capsys):
@@ -344,6 +353,9 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
         # an isotopy file fixes the time slices
         (["approx", "--steps", "3", "--substeps", "2,4,8", "--points", "2", "--isotopy"],
          {"fields": ["[1; 0]", "[0; 1]"]}),
+        # degrees below zero, which a monomial basis refuses
+        (["closure", "--shear-family", "-1", "-D", "2"], None),
+        (["closure", "--shear-family", "3", "-D", "3", "--monomial-targets", "-1"], None),
     ],
     ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
          "approx-time-nan", "approx-values-overflow", "approx-substeps-repeated",
@@ -351,7 +363,8 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
          "basin-u-nan", "basin-v-inf", "grid-u-range-nan", "grid-origin-inf",
          "map-factor-inf", "map-time-nan", "basin-max-iter-huge", "approx-substeps-huge",
          "basin-nu-huge", "approx-steps-huge", "approx-points-huge",
-         "approx-isotopy-steps-mismatch"],
+         "approx-isotopy-steps-mismatch", "closure-shear-family-negative",
+         "closure-monomial-targets-negative"],
 )
 def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv, document):
     # json.dumps writes NaN and Infinity, which json.loads reads back as floats

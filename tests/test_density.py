@@ -595,22 +595,38 @@ def test_no_weight_holds_more_rows_than_its_ceiling(build):
         lambda: lie_closure(shear_generator_family(4), 4),
         lambda: _codim2_closure(["x1", "x2"], 3, 3),
         lambda: _codim2_closure(["x1*x2", "x3"], 3, 4),
+        lambda: _codim2_closure(["x1", "x2-x3^2"], 3, 3),
     ],
-    ids=["shear2-D4", "codim2-axis-d3", "codim2-monomial-ideal-d4"],
+    ids=["shear2-D4", "codim2-axis-d3", "codim2-monomial-ideal-d4", "codim2-parabola-d3"],
 )
-def test_graded_closure_span_holds_the_certificate_provenance(build):
+def test_closure_span_holds_the_certificate_provenance(build):
     cert = build()
-    weights = {k: _weight(gen) for k, gen in enumerate(cert.generators) if not gen.is_zero()}
     basis = MonomialBasis(cert.nvars, cert.degree_cap)
     span = TrackedSpan()
-    records, _ = density._graded_closure(
-        cert.generators, weights, basis, span, cert.degree_cap, cert.depth_cap
-    )
+    records, _ = density._closure(cert.generators, basis, span, cert.depth_cap)
     # so span.expand_row(k) is row k over the sources, as the record says
-    assert span.dimension == len(records) == len(cert.basis)
+    assert records == cert.basis
+    assert span.dimension == len(records)
     for k, rec in enumerate(records):
         assert span.scales[k] == rec.scale
         assert tuple(span.corrections[k]) == rec.corrections
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _codim2_closure(["x1", "x2-x3^2"], 3, 3),
+        lambda: lie_closure([F("[x2 + x2^2; 0]"), F("[0; x1]")], 4),
+    ],
+    ids=["codim2-parabola-d3", "mixed-weights-D4"],
+)
+def test_inhomogeneous_closure_brackets_in_weight_coordinates(monkeypatch, build):
+    calls = []
+    bracket = VectorField.bracket
+    monkeypatch.setattr(VectorField, "bracket", lambda *args: calls.append(1) or bracket(*args))
+    cert = build()
+    assert any(_weight(gen) is None for gen in cert.generators)
+    assert cert.span_dimension > len(cert.generators) and not calls
 
 
 def test_codim2_axis_skips_the_brackets_above_the_ceiling(monkeypatch):
