@@ -34,11 +34,15 @@ from .fields import (
     VectorField,
     kernel_basis,
     nilpotency_report,
+    parse_vector_field,
     shear_pair_residual,
 )
 # no code here calls rref; perfbench/tracing.py patches the name density.rref
 from .linalg import TrackedSpan, _sub_scaled, nullspace, rref  # noqa: F401
-from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, _trusted_poly
+from .poly import (
+    MAX_BASIS_SIZE, MonomialBasis, Poly, _trusted_poly, format_scalar, monomial_multiples,
+    parse_scalar,
+)
 from .scalars import ONE, ZERO, Scalar
 from . import serialize
 
@@ -262,16 +266,13 @@ def check_compatibility(
     else:
         condition_one = ConditionOne("not-established", degree)
         for h in candidate_ideals:
+            # an empty set of multiples would pass all() vacuously
             if h.is_zero() or h.degree > degree:
                 continue
-            h_deg = h.degree
-            multiples_ok = True
-            for exp in MonomialBasis(n, degree - h_deg):
-                multiple = h * Poly.monomial(n, exp, Scalar.exact(1))
-                if not span.contains(basis.coords(multiple)):
-                    multiples_ok = False
-                    break
-            if multiples_ok:
+            if all(
+                span.contains(basis.coords(multiple))
+                for _, multiple in monomial_multiples(h, degree)
+            ):
                 condition_one = ConditionOne("ideal-found", degree, h)
                 break
 
@@ -280,12 +281,8 @@ def check_compatibility(
 
 
 def _degree_one_witness(d1: VectorField, ker2: Sequence[Poly], nvars: int) -> ConditionTwo:
-    # column j is the sparse image d1^2(ker2[j]), one row per monomial reached
-    rows: dict[tuple[int, ...], int] = {}
-    columns = []
-    for k in ker2:
-        image = d1.apply(d1.apply(k))
-        columns.append({rows.setdefault(exp, len(rows)): c for exp, c in image.terms.items()})
+    # column j is the sparse image d1^2(ker2[j]), keyed by the monomials it reaches
+    columns = [d1.apply(d1.apply(k)).terms for k in ker2]
     # ker2 is reduced echelon, ascending by leading monomial, and each kernel vector is
     # e_j minus earlier columns: so are the candidates, and the first witness is the smallest
     for vec in nullspace(columns):
@@ -382,7 +379,7 @@ class LieClosureCertificate:
                     "source_kind": rec.source_kind,
                     "left": rec.left,
                     "right": rec.right,
-                    "scale": serialize.scalar_to_text(rec.scale),
+                    "scale": format_scalar(rec.scale),
                     "corrections": serialize.combination_to_json(rec.corrections),
                     "depth": rec.depth,
                 }
@@ -409,13 +406,13 @@ class LieClosureCertificate:
 
 def closure_from_json_dict(doc: dict) -> LieClosureCertificate:
     nvars = doc["nvars"]
-    generators = [serialize.field_from_text(g, nvars) for g in doc["generators"]]
+    generators = [parse_vector_field(g, nvars) for g in doc["generators"]]
     basis = [
         BasisRecord(
             rec["source_kind"],
             rec["left"],
             rec["right"],
-            serialize.scalar_from_text(rec["scale"]),
+            parse_scalar(rec["scale"]),
             tuple(serialize.combination_from_json(rec["corrections"])),
             rec["depth"],
         )
@@ -423,7 +420,7 @@ def closure_from_json_dict(doc: dict) -> LieClosureCertificate:
     ]
     targets = [
         TargetRecord(
-            serialize.field_from_text(t["field"], nvars),
+            parse_vector_field(t["field"], nvars),
             t["established"],
             (
                 tuple(serialize.combination_from_json(t["combination"]))

@@ -37,7 +37,7 @@ import numpy as np
 from .density import DEFAULT_SEED
 from .errors import ArityMismatch, PreconditionError, RegimeMismatch, ShearKitError
 from .fields import VectorField, _as_exact_scalar, shear_pair_fields, shear_pair_residual
-from .poly import Poly, grlex_key
+from .poly import Poly, grlex_key, parse_poly
 from .scalars import Scalar
 from . import serialize
 
@@ -292,7 +292,7 @@ def autoseq_from_json_dict(doc: dict) -> AutoSeq:
             elements.append(
                 flow(
                     entry["axis"] - 1,
-                    serialize.poly_from_text(entry["coeff"], nvars),
+                    parse_poly(entry["coeff"], nvars),
                     complex(*entry["time"]),
                 )
             )

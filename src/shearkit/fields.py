@@ -289,16 +289,13 @@ def kernel_basis(field: VectorField, degree: int) -> list[Poly]:
     """Exact basis of {f : deg f <= degree, V(f) = 0}, echelonized.
 
     Solves V(f) = 0 by exact elimination of sparse columns: column i is
-    the image V(x^e_i), with one row per monomial any image reaches.
-    Each basis vector is e_j minus earlier columns, so the result is
-    the reduced echelon basis, ascending by leading monomial x^e_j.
+    the image V(x^e_i), keyed by the monomials it reaches, which
+    `nullspace` numbers as rows.  Each basis vector is e_j minus earlier
+    columns, so the result is the reduced echelon basis, ascending by
+    leading monomial x^e_j.
     """
     basis = MonomialBasis(field.nvars, degree)
-    rows: dict[tuple[int, ...], int] = {}
-    columns = []
-    for exp in basis:
-        image = field.apply(Poly.monomial(field.nvars, exp, Scalar.exact(1)))
-        columns.append({rows.setdefault(mon, len(rows)): c for mon, c in image.terms.items()})
+    columns = [field.apply(Poly.monomial(field.nvars, exp, ONE)).terms for exp in basis]
     return [
         Poly(field.nvars, {basis.exponents[i]: value for i, value in vec.items()})
         for vec in nullspace(columns)

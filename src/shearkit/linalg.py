@@ -5,15 +5,16 @@ tolerances.  `TrackedSpan` is the one elimination engine: an
 incremental echelon span over sparse index->Scalar dicts that also
 remembers how each row was built from the inserted source vectors,
 which is what makes emitted certificates replayable.  `nullspace`
-reads the kernel off the dependent sparse columns.  `rref`, a dense
-view of the reduced row echelon form, has no caller in the package;
-it stays for callers outside it.  Both results are canonical, so they
-do not depend on the engine.
+reads the kernel off the dependent sparse columns; it numbers their
+row labels itself, so a caller passes `Poly.terms` as they are.
+`rref`, a dense view of the reduced row echelon form, has no caller
+in the package; it stays for callers outside it.  Both results are
+canonical, so they do not depend on the engine.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -44,17 +45,22 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int
     return [[reduced[p].get(j, ZERO) for j in range(ncols)] for p in pivots], pivots
 
 
-def nullspace(columns: Sequence[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
+def nullspace(columns: Sequence[Mapping[Hashable, Scalar]]) -> list[dict[int, Scalar]]:
     """Deterministic kernel basis of the matrix with these sparse columns.
 
-    Columns store no zeros.  One vector (column index -> entry) per free
-    column, ascending: column j is free iff it depends on the columns
-    before it, and its basis vector is e_j minus that dependency.
+    A column maps hashable row labels, such as exponents, to its nonzero
+    entries; `nullspace` numbers the labels itself.  One vector (column
+    index -> entry) per free column, ascending: column j is free iff it
+    depends on the columns before it, and its basis vector is e_j minus
+    that dependency, whatever the row order.
     """
+    rows: dict[Hashable, int] = {}
     span = TrackedSpan()
     basis = []
     for j, column in enumerate(columns):
-        remainder, combo = span.reduce(column)
+        remainder, combo = span.reduce(
+            {rows.setdefault(label, len(rows)): value for label, value in column.items()}
+        )
         if remainder:
             span._append(remainder, combo, j)
             continue

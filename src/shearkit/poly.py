@@ -34,6 +34,7 @@ from .scalars import ONE, Scalar
 __all__ = [
     "Poly",
     "MonomialBasis",
+    "monomial_multiples",
     "grlex_key",
     "parse_poly",
     "parse_scalar",
@@ -351,6 +352,19 @@ class MonomialBasis:
 
     def __contains__(self, exponents) -> bool:
         return tuple(exponents) in self._index
+
+
+def monomial_multiples(p: Poly, degree: int) -> Iterator[tuple[tuple[int, ...], Poly]]:
+    """(e, x^e * p) for every x^e with deg(x^e * p) <= degree, e in graded-lex order.
+
+    Yields nothing when p is zero or its degree exceeds the bound.
+    """
+    if p.is_zero() or p.degree > degree:
+        return
+    for exp in MonomialBasis(p.nvars, degree - p.degree):
+        yield exp, _trusted_poly(
+            p.nvars, {tuple(a + b for a, b in zip(mon, exp)): c for mon, c in p.terms.items()}
+        )
 
 
 def _exponents_up_to(nvars: int, degree: int) -> Iterable[tuple[int, ...]]:

@@ -11,8 +11,8 @@ import json
 import math
 
 from .errors import ShearKitError
-from .poly import format_poly, format_scalar, parse_poly, parse_scalar
-from .fields import format_vector_field, parse_vector_field
+from .poly import format_poly, format_scalar, parse_scalar
+from .fields import format_vector_field
 
 SCHEMA_VERSION = 1
 
@@ -20,12 +20,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "canonical_dumps",
     "require_keys",
-    "scalar_to_text",
-    "scalar_from_text",
     "poly_to_text",
-    "poly_from_text",
     "field_to_text",
-    "field_from_text",
     "combination_to_json",
     "combination_from_json",
 ]
@@ -70,20 +66,8 @@ def require_keys(doc, what: str, **shapes) -> dict:
     return doc
 
 
-scalar_to_text = format_scalar
-scalar_from_text = parse_scalar
 poly_to_text = format_poly
-
-
-def poly_from_text(text: str, nvars: int):
-    return parse_poly(text, nvars)
-
-
 field_to_text = format_vector_field
-
-
-def field_from_text(text: str, nvars: int):
-    return parse_vector_field(text, nvars)
 
 
 def combination_to_json(combination) -> list:

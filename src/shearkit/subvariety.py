@@ -20,7 +20,6 @@ all verdicts are one-sided; no Groebner machinery is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ArityMismatch, PreconditionError
 from .density import (
@@ -31,7 +30,7 @@ from .density import (
     lie_closure,
 )
 from .linalg import TrackedSpan
-from .poly import MonomialBasis, Poly, grlex_key
+from .poly import MonomialBasis, Poly, grlex_key, monomial_multiples, parse_poly
 from .scalars import Scalar
 from .fields import VectorField, shear_pair_residual
 from . import serialize
@@ -85,7 +84,7 @@ class SubvarietyInput:
     def from_json_dict(cls, doc: dict) -> "SubvarietyInput":
         serialize.require_keys(doc, "ideal file", nvars=int, generators=[str])
         nvars = doc["nvars"]
-        gens = tuple(serialize.poly_from_text(g, nvars) for g in doc["generators"])
+        gens = tuple(parse_poly(g, nvars) for g in doc["generators"])
         return cls(nvars, gens)
 
 
@@ -104,6 +103,26 @@ class EliminationResult:
     combinations: tuple[tuple[tuple[Scalar, tuple[tuple[int, ...], int]], ...], ...]
 
 
+def _ideal_span(
+    data: SubvarietyInput, axis: int, basis: MonomialBasis
+) -> tuple[TrackedSpan, dict[tuple[int, ...], int]]:
+    """The span of every monomial multiple x^e * gen of degree <= basis.degree.
+
+    Returns the span, whose row sources are (e, generator index), and its
+    coordinate of each monomial: the `basis.coords` index, shifted by
+    len(basis) when the monomial is free of x_axis.  So a row is free of
+    x_axis exactly when its pivot is at least len(basis).
+    """
+    shift = len(basis)
+    position = {exp: i + (0 if exp[axis] else shift) for i, exp in enumerate(basis)}
+    span = TrackedSpan()
+    for gen_idx, gen in enumerate(data.generators):
+        for exp, product in monomial_multiples(gen, basis.degree):
+            coords = {position[mon]: c for mon, c in product.terms.items()}
+            span.insert(coords, source=(exp, gen_idx))
+    return span, position
+
+
 def eliminate_direction(
     data: SubvarietyInput, axis: int, degree: int
 ) -> EliminationResult:
@@ -120,44 +139,21 @@ def eliminate_direction(
     if degree < 0:
         raise ValueError("degree bound must be non-negative")
     basis = MonomialBasis(n, degree)
-    # order coordinates so monomials containing x_axis come first; rows whose
-    # pivot falls in the trailing block are then exactly the axis-free ones
-    bad = [exp for exp in basis.exponents if exp[axis] > 0]
-    good = [exp for exp in basis.exponents if exp[axis] == 0]
-    ordered = bad + good
-    position = {exp: i for i, exp in enumerate(ordered)}
-    first_good = len(bad)
-
-    span = TrackedSpan()
-    for gen_idx, gen in enumerate(data.generators):
-        gen_deg = gen.degree
-        if gen_deg > degree:
-            continue
-        for exp in MonomialBasis(n, degree - gen_deg):
-            product = gen * Poly.monomial(n, exp, Scalar.exact(1))
-            if product.is_zero() or product.degree > degree:
-                continue
-            coords = {position[mon]: c for mon, c in product.terms.items()}
-            span.insert(coords, source=(exp, gen_idx))
-
-    elements = []
-    for row_idx in range(span.dimension):
-        if span.pivots[row_idx] < first_good:
-            continue
-        terms = {
-            ordered[i]: value for i, value in span.vectors[row_idx].items()
-        }
-        poly = Poly(n, terms)
-        flat = span.expand_row(row_idx)
-        combo = tuple(sorted(
-            ((value, source) for source, value in flat.items()),
+    shift = len(basis)
+    span, _ = _ideal_span(data, axis, basis)
+    rows = sorted((pivot, idx) for idx, pivot in enumerate(span.pivots) if pivot >= shift)
+    elements = tuple(
+        Poly(n, {basis.exponents[i - shift]: value for i, value in span.vectors[idx].items()})
+        for _, idx in rows
+    )
+    combinations = tuple(
+        tuple(sorted(
+            ((value, source) for source, value in span.expand_row(idx).items()),
             key=lambda item: (item[1][1], grlex_key(item[1][0])),
         ))
-        elements.append((span.pivots[row_idx], poly, combo))
-    elements.sort(key=lambda item: item[0])
-    polys = tuple(p for _, p, _ in elements)
-    combinations = tuple(c for _, _, c in elements)
-    return EliminationResult(axis, degree, polys, combinations)
+        for _, idx in rows
+    )
+    return EliminationResult(axis, degree, elements, combinations)
 
 
 @dataclass(frozen=True)
@@ -197,18 +193,12 @@ def build_vanishing_shear(
         violations.append("h must be constant along the shear direction")
     if violations:
         raise PreconditionError(violations)
-    result = eliminate_direction(data, axis, max(degree, h.degree))
-    span = TrackedSpan()
-    basis = MonomialBasis(n, max(degree, h.degree))
-    for element in result.elements:
-        span.insert(basis.coords(element))
-    if not span.contains(basis.coords(h)):
-        raise PreconditionError(
-            "h does not lie in the truncated ideal span at this degree bound"
-        )
-    direction = tuple(
-        Scalar.exact(1 if i == axis else 0) for i in range(n)
-    )
+    # h is free of x_axis, so only the rows free of x_axis, the span of
+    # eliminate_direction's elements, can reduce it
+    span, position = _ideal_span(data, axis, MonomialBasis(n, max(degree, h.degree)))
+    if not span.contains({position[mon]: c for mon, c in h.terms.items()}):
+        raise PreconditionError("h does not lie in the truncated ideal span at this degree bound")
+    direction = tuple(Scalar.exact(1 if i == axis else 0) for i in range(n))
     forms = tuple(Poly.variable(n, i) for i in range(n) if i != axis)
     field = VectorField.monomial(n, axis, h)
     return VanishingShear(axis, direction, forms, h, field, degree)
@@ -405,13 +395,11 @@ def codim2_module_certificate(
             for j in (axis1, axis2):
                 add(axis, coefficient * Poly.variable(n, j))
 
-    hh = h1 * h2
-    targets = []
-    if hh.degree <= degree:
-        for exp in MonomialBasis(n, degree - hh.degree):
-            m = Poly.monomial(n, exp, Scalar.exact(1))
-            for axis in (axis1, axis2):
-                targets.append(VectorField.monomial(n, axis, m * hh))
+    targets = [
+        VectorField.monomial(n, axis, multiple)
+        for _, multiple in monomial_multiples(h1 * h2, degree)
+        for axis in (axis1, axis2)
+    ]
 
     closure = lie_closure(generators, degree_cap, depth_cap, targets)
     return Codim2Certificate(data, (axis1, axis2), h1, h2, degree, closure)

@@ -7,11 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from shearkit.poly import Poly
 from shearkit.fields import VectorField
 from shearkit.scalars import Scalar
+
+# every run draws the same examples, so a failure reproduces and a pass repeats
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

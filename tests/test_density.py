@@ -184,11 +184,13 @@ class TestCompatibility:
         assert verdict.condition_two.b == P("x3 - x1", 3)
         assert replay_compatibility(verdict, d1, d2)
 
-    def test_unusable_candidate_stays_not_established(self):
-        # any ideal of the full ring contains x1-multiples, which the
-        # x1-free product span of the same-direction pair cannot reach
+    # any ideal of the full ring contains x1-multiples, which the x1-free product
+    # span of the same-direction pair cannot reach; a zero candidate and one above
+    # the degree bound have no multiples at all, so only their guard rejects them
+    @pytest.mark.parametrize("candidate", ["x2", "0", "x2^3"])
+    def test_unusable_candidate_stays_not_established(self, candidate):
         verdict = check_compatibility(
-            F("[1; 0]"), F("[x1; 0]"), 2, candidate_ideals=[P("x2", 2)]
+            F("[1; 0]"), F("[x1; 0]"), 2, candidate_ideals=[P(candidate, 2)]
         )
         assert verdict.condition_one.kind == "not-established"
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -135,6 +136,11 @@ def test_span_views_match_the_dense_model(matrix):
     assert rref(rows) == (expected_rows, expected_pivots)
     kernel = nullspace(_columns(rows, ncols))
     assert kernel == [_sparse(vec) for vec in model_nullspace(rows, ncols)]
+    # rows numbered on first sight: tuple labels met in a shuffled order give the same kernel
+    order = list(range(len(rows)))
+    random.Random(6 * len(rows) + ncols).shuffle(order)
+    relabeled = [{("row", i): rows[i][j] for i in order if rows[i][j]} for j in range(ncols)]
+    assert nullspace(relabeled) == kernel
 
     span = TrackedSpan()
     for row in rows:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from shearkit.density import replay_closure
 from shearkit.errors import PreconditionError
-from shearkit.poly import Poly, parse_poly
+from shearkit.linalg import TrackedSpan
+from shearkit.poly import MonomialBasis, Poly, format_poly, format_scalar, parse_poly
 from shearkit.scalars import Scalar
 from shearkit.subvariety import (
     SubvarietyInput,
@@ -16,7 +18,7 @@ from shearkit.subvariety import (
     verify_local_identities,
 )
 
-from conftest import random_exact_poly
+from conftest import random_exact_poly, random_exact_scalar
 
 
 def P(text, n):
@@ -70,6 +72,27 @@ class TestEliminateDirection:
             assert rebuilt == element
             assert element.partial(0).is_zero()
 
+    @pytest.mark.parametrize(
+        "generators, digest",
+        [
+            (("x1", "x2 - x3^2"), "c8fba93588be9b17c4ae20fc139d8e8dcd801b133aa7f570bff9bd1af124fc1b"),
+            (("x1*x2", "x3"), "91d784343a55e5f9acf86b5bbbfe5dedd6166e578495c39f26379423aa75f25e"),
+        ],
+    )
+    def test_elements_and_combinations_keep_their_bytes(self, generators, digest):
+        data = SubvarietyInput(3, tuple(P(g, 3) for g in generators))
+        lines = []
+        for axis in range(3):
+            for degree in range(5):
+                result = eliminate_direction(data, axis, degree)
+                lines.append(f"axis {axis} degree {degree}")
+                for element, combo in zip(result.elements, result.combinations):
+                    lines.append(format_poly(element))
+                    lines.extend(
+                        f"  {format_scalar(c)} {exp} {gen_idx}" for c, (exp, gen_idx) in combo
+                    )
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
 
 class TestVanishingShear:
     def test_assembled_field(self):
@@ -95,6 +118,42 @@ class TestVanishingShear:
     def test_h_outside_span_rejected(self):
         with pytest.raises(PreconditionError):
             build_vanishing_shear(axis_line_in_three_space(), 0, P("x3", 3), 1)
+
+    def test_accepts_exactly_the_span_of_the_eliminated_elements(self, rng):
+        def in_element_span(data, axis, h, degree):
+            # the model: h against a fresh span of eliminate_direction's elements
+            degree = max(degree, h.degree)
+            basis = MonomialBasis(3, degree)
+            span = TrackedSpan()
+            for element in eliminate_direction(data, axis, degree).elements:
+                span.insert(basis.coords(element))
+            return span.contains(basis.coords(h))
+
+        verdicts = []
+        while len(verdicts) < 60:
+            gens = [random_exact_poly(rng, 3, 2, max_terms=2) for _ in range(2)]
+            if any(g.is_zero() for g in gens):
+                continue
+            data = SubvarietyInput(3, tuple(gens))
+            axis, degree = rng.randrange(3), rng.randint(1, 3)
+            others = [i for i in range(3) if i != axis]
+            elements = eliminate_direction(data, axis, degree).elements
+            candidates = [random_exact_poly(rng, 3, degree, allowed_vars=others)]
+            if elements:
+                combo = sum((e.scale(random_exact_scalar(rng)) for e in elements), Poly.zero(3))
+                candidates += [combo, combo + candidates[0]]
+            for h in candidates:
+                if h.is_zero():
+                    continue
+                expected = in_element_span(data, axis, h, degree)
+                try:
+                    build_vanishing_shear(data, axis, h, degree)
+                    accepted = True
+                except PreconditionError:
+                    accepted = False
+                assert accepted == expected, (gens, axis, degree, h)
+                verdicts.append(expected)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_field_vanishes_at_sampled_variety_points(self, rng):
         data = axis_line_in_three_space()
