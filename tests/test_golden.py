@@ -75,6 +75,17 @@ GOLDEN = [
         id="codim2-parabola-d4",
     ),
     pytest.param(
+        ["codim2", "--gens", "x1", "x2-x3^2", "-n", "3", "-d", "5"],
+        {"-o": "178d0f19366a7d6fd9d68a07e980c31640816906e3a3934db103a62c6ca56631"},
+        id="codim2-parabola-d5",
+    ),
+    # the twisted cubic, a second graph x1 = x3^2, x2 = x3^3 over one free coordinate
+    pytest.param(
+        ["codim2", "--gens", "x1-x3^2", "x2-x3^3", "-n", "3", "-d", "4"],
+        {"-o": "5b1cdb16aa340c6434015d8e19237df0545c15e631f9c6bd71286448b74d542f"},
+        id="codim2-twisted-cubic-d4",
+    ),
+    pytest.param(
         ["closure", "--generators", "{work}/mixed.txt", "--targets", "{work}/mixed-targets.txt",
          "-D", "4"],
         {"-o": "e71c1cd89bcf8401e244c4cfb22364f98d3ffc4b6c415dff1e14471091d46613"},
