@@ -24,7 +24,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, ge, mul
+from operator import add, ge, mul, sub
 from typing import Sequence
 
 from .errors import ArityMismatch, PreconditionError, ShearKitError
@@ -471,30 +471,148 @@ def _monomial_coords(
     }
 
 
-def _ideal_ceiling(basis: MonomialBasis, fields: list[VectorField]) -> dict[tuple[int, ...], int]:
-    """Weight -> dimension of that weight space of L(I, Z), which holds the closure.
+def _grading(
+    pieces: list[dict[tuple[int, ...], dict[int, Scalar]]], basis: MonomialBasis
+) -> list[int]:
+    """Integer multipliers m such that the key sum(w_k * m_k) grades every field in `pieces`.
 
-    I is the monomial ideal that every monomial of every component generates,
-    Z the components that are zero in every field, and L(I, Z) every V with
-    V_k in I for all k and V_k = 0 for k in Z: a Lie algebra, as each term of
-    [V, W]_k = sum_j V_j d_j W_k - W_j d_j V_k has a factor V_j or W_j in I.
-    Weight w counts each i not in Z with x^(w + e_i) in I and in `basis`.
+    The weights of one field's pieces differ by vectors that the integer forms
+    lambda_t, a basis of the forms vanishing on all those differences, kill.
+    The key of w is sum_t radix^t * lambda_t(w), so it adds as w does, and two
+    weights of fields or of pairs within the cap (entries in [-2, cap + 1]) get
+    one key iff every lambda_t agrees on them: the finest grading, up to
+    torsion, in which every field is homogeneous.  When every field has one
+    piece the forms are the coordinates, and the grade is the weight.
     """
-    monomials = {exp for field in fields for comp in field.components for exp in comp.terms}
-    live = [i for i in range(basis.nvars) if any(field.components[i].terms for field in fields)]
-    unit = (0,) * basis.nvars in monomials  # then every monomial lies in I
+    n, radix = basis.nvars, basis.degree + 4
+    if all(len(p) == 1 for p in pieces):
+        return [radix**k for k in range(n)]
+    diffs = []
+    for p in pieces:
+        first, *rest = p
+        diffs.extend(tuple(map(sub, w, first)) for w in rest)
+    forms = []
+    columns = [{t: Scalar.exact(d[k]) for t, d in enumerate(diffs) if d[k]} for k in range(n)]
+    for vec in nullspace(columns):
+        scale = math.lcm(*(c.d for c in vec.values()))
+        forms.append([vec[k].a * (scale // vec[k].d) if k in vec else 0 for k in range(n)])
+    radix *= max((sum(map(abs, form)) for form in forms), default=1)
+    return [sum(form[k] * radix**t for t, form in enumerate(forms)) for k in range(n)]
+
+
+def _ideal_ceiling(
+    basis: MonomialBasis,
+    pieces: list[dict[tuple[int, ...], dict[int, Scalar]]],
+    powers: list[int],
+    ideal: dict[int, Poly] | None = None,
+) -> dict[int, int]:
+    """Grade key -> dimension of that grade of L'(J, Z) within the cap, which holds the closure.
+
+    The fields are `pieces`, graded by the multipliers `powers`.  Z is the
+    components that are zero in every field, and L(J, Z) every V with V_k in J
+    for all k and V_k = 0 for k in Z: a Lie algebra, as each term of
+    [V, W]_k = sum_j V_j d_j W_k - W_j d_j V_k has a factor V_j or W_j in J.
+    So is L'(J, Z), the V in it with div V in J, since div [V, W] =
+    V(div W) - W(div V) and V(f) lies in J for every f.  It holds the fields
+    when each one's divergence lies in J; otherwise L(J, Z) is counted.  J is
+    the ideal of the graph x_k = ideal[k] (each free of every key of `ideal`),
+    which must hold every component of the fields, or else the monomial ideal
+    that their monomials generate.
+    """
+    live = sorted({i for p in pieces for coords in p.values() for i in coords})
+    # with every q_k = 0 the graph is a coordinate subspace, and the closed form below
+    # counts the generators' monomial ideal, which lies in its ideal (x_k)
+    if ideal and any(ideal.values()):
+        return _graph_ceiling(basis, pieces, powers, ideal, live)
+    monomials = {
+        w[:i] + (w[i] + 1,) + w[i + 1 :] for p in pieces for w, coords in p.items() for i in coords
+    }
+    unit = (0,) * basis.nvars in monomials  # then every monomial lies in J
     minimal: list[tuple[int, ...]] = []  # otherwise x^e does iff one of these divides it
     if not unit:
         for g in sorted(monomials, key=sum):
             if not any(all(map(ge, g, h)) for h in minimal):
                 minimal.append(g)
-    ceiling: dict[tuple[int, ...], int] = {}
-    for exp in basis:
-        if unit or any(all(map(ge, exp, g)) for g in minimal):
-            for i in live:
-                weight = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
-                ceiling[weight] = ceiling.get(weight, 0) + 1
+    member = [exp for exp in basis if unit or any(all(map(ge, exp, g)) for g in minimal)]
+    ceiling: dict[int, int] = {}
+    for exp in member:
+        k = sum(map(mul, exp, powers))
+        for i in live:
+            ceiling[k - powers[i]] = ceiling.get(k - powers[i], 0) + 1
+    if unit:
+        return ceiling
+    # div(x^(w + e_i) d/dx_i) = (w_i + 1) x^w: for w >= 0 with x^w outside J, a nonzero
+    # functional on the fields of weight w in L(J, Z), whose kernel is those in L'(J, Z)
+    inside = set(member)
+    if all(
+        w in inside or min(w) < 0 or not _div_coefficient(w, coords)
+        for p in pieces
+        for w, coords in p.items()
+    ):
+        below = {exp[:i] + (exp[i] - 1,) + exp[i + 1 :] for exp in member for i in live if exp[i]}
+        for w in below - inside:
+            ceiling[sum(map(mul, w, powers))] -= 1
     return ceiling
+
+
+def _div_coefficient(w: tuple[int, ...], coords: dict[int, Scalar]) -> Scalar:
+    """s with div(sum of c_i x^(w + e_i) d/dx_i) = s x^w."""
+    return sum((c * (w[i] + 1) for i, c in coords.items() if w[i] >= 0), ZERO)
+
+
+def _graph_ceiling(
+    basis: MonomialBasis,
+    pieces: list[dict[tuple[int, ...], dict[int, Scalar]]],
+    powers: list[int],
+    graph: dict[int, Poly],
+    live: list[int],
+) -> dict[int, int]:
+    """`_ideal_ceiling` for J the ideal of the graph; a q_k on a graph coordinate or a
+    field component outside J raises.
+
+    p lies in J iff it vanishes on the graph, that is, iff it is zero after
+    x_k -> graph[k].  A grade's count is the nullity of its monomial fields
+    x^(w + e_i) d/dx_i, i live, under V -> (each V_k and div V on the graph).
+    """
+    if any(exp[k] for q in graph.values() for exp in q.terms for k in graph):
+        raise PreconditionError("a graph value depends on a graph coordinate")
+    nvars = basis.nvars
+    point = [graph.get(k, Poly.variable(nvars, k)) for k in range(nvars)]
+    images = {(0,) * nvars: Poly.constant(nvars, 1)}
+
+    def on_graph(exp: tuple[int, ...]) -> Poly:
+        """x^exp on the graph, cached with every divisor that it meets."""
+        found = images.get(exp)
+        if found is None:
+            t = next(t for t, e in enumerate(exp) if e)
+            found = images[exp] = on_graph(exp[:t] + (exp[t] - 1,) + exp[t + 1 :]) * point[t]
+        return found
+
+    refine = True
+    for p in pieces:
+        components: dict[int, dict] = {}
+        div: dict = {}
+        for w, coords in p.items():
+            for i, c in coords.items():
+                monomial = on_graph(w[:i] + (w[i] + 1,) + w[i + 1 :]).terms
+                _sub_scaled(components.setdefault(i, {}), -c, monomial)
+            if s := _div_coefficient(w, coords):
+                _sub_scaled(div, -s, on_graph(w).terms)
+        if any(components.values()):
+            raise PreconditionError("a generator component does not vanish on the graph")
+        refine = refine and not div
+    grades: dict[int, list[dict]] = {}
+    for exp in basis:
+        k = sum(map(mul, exp, powers))
+        image = on_graph(exp).terms
+        for i in live:
+            column = {(i, m): c for m, c in image.items()}
+            if refine and exp[i]:
+                below = on_graph(exp[:i] + (exp[i] - 1,) + exp[i + 1 :]).terms
+                column.update({(-1, m): c * exp[i] for m, c in below.items()})
+            grades.setdefault(k - powers[i], []).append(column)
+    # a grade whose columns all vanish on the graph needs no elimination
+    return {g: len(nullspace(cols)) if any(cols) else len(cols) for g, cols in grades.items()}
 
 
 def _pairing(coords: dict[int, Scalar], weight: tuple[int, ...]) -> Scalar:
@@ -525,7 +643,11 @@ def _weight_bracket(
 
 
 def _closure(
-    generators: list[VectorField], basis: MonomialBasis, span: TrackedSpan, depth_cap: int
+    generators: list[VectorField],
+    basis: MonomialBasis,
+    span: TrackedSpan,
+    depth_cap: int,
+    ideal: dict[int, Poly] | None = None,
 ) -> tuple[list[BasisRecord], int]:
     """Close the generators under brackets in weight coordinates, reducing in `span`.
 
@@ -534,30 +656,22 @@ def _closure(
     depth r - 1 (the frontier) with every earlier row; no earlier row is
     deeper, so every bracket has depth r.  A bracket's degree is at most
     the sum of its factors' degrees minus one, so row j meets only the
-    earlier rows within the cap; the rest count as discarded.  When every
-    row has one weight, a pair is skipped once the rows of its weight reach
+    earlier rows within the cap; the rest count as discarded.  Every row is
+    homogeneous in `_grading`'s grading: the generators are, so are their
+    brackets, and the span reduces a vector only by rows of its pivot's
+    grade.  A pair is skipped once the rows of its grade reach
     `_ideal_ceiling`'s count: the bracket is then zero or dependent.
     """
     size, degree_cap = len(basis), basis.degree
-    # weight w as the integer sum of w_k * radix^k, which adds as w does: the weights of
-    # fields and of pairs within the cap have entries in [-2, degree_cap + 1], so two of
-    # them differ by less than radix in each entry, and distinct ones get distinct keys
-    radix = degree_cap + 4
-    powers = [radix**k for k in range(basis.nvars)]
-
-    def key(weight: tuple[int, ...]) -> int:
-        return sum(map(mul, weight, powers))
-
-    rows: list[tuple[tuple[int, tuple[int, ...], dict[int, Scalar]], ...]] = []
+    rows: list[tuple[tuple[tuple[int, ...], dict[int, Scalar]], ...]] = []
+    grades: list[int] = []
     degrees: list[int] = []
     records: list[BasisRecord] = []
     # the nonzero generators' weight pieces, by generator index
     pieces = {k: p for k, gen in enumerate(generators) if (p := _weight_pieces(gen))}
-    # weight key -> its ceiling minus the rows of that weight, if every generator has one weight
-    free = None
-    if all(len(p) == 1 for p in pieces.values()):
-        ceiling = _ideal_ceiling(basis, [generators[k] for k in pieces])
-        free = {key(w): count for w, count in ceiling.items()}
+    powers = _grading(list(pieces.values()), basis)
+    # grade key -> its ceiling minus the rows of that grade
+    free = _ideal_ceiling(basis, list(pieces.values()), powers, ideal)
 
     def insert(parts, kind: str, left: int, right: int | None, depth: int) -> None:
         row = span.insert(_monomial_coords(parts, basis), source=(kind, left, right))
@@ -569,9 +683,10 @@ def _closure(
             i, m = divmod(idx, size)
             exp = basis.exponents[m]
             parts.setdefault(exp[:i] + (exp[i] - 1,) + exp[i + 1 :], {})[i] = c
-        rows.append(tuple((key(w), w, coords) for w, coords in parts.items()))
-        if free is not None:
-            free[rows[-1][0][0]] -= 1  # the key of the row's one piece
+        rows.append(tuple(parts.items()))
+        grade = sum(map(mul, next(iter(parts)), powers))
+        grades.append(grade)
+        free[grade] -= 1
         degrees.append(max(map(sum, parts)) + 1)
         corrections = tuple(span.corrections[row])
         records.append(BasisRecord(kind, left, right, span.scales[row], corrections, depth))
@@ -587,13 +702,13 @@ def _closure(
             room = degree_cap + 1 - degrees[j]
             near = [i for i in range(j) if degrees[i] <= room]
             discarded += j - len(near)
-            right = rows[j]
+            right, grade = rows[j], grades[j]
             for i in near:
+                if not free.get(grades[i] + grade):
+                    continue
                 parts = {}
-                for a, alpha, c in rows[i]:
-                    for b, beta, d in right:
-                        if free is not None and not free.get(a + b):
-                            continue
+                for alpha, c in rows[i]:
+                    for beta, d in right:
                         piece = _weight_bracket(alpha, c, beta, d)
                         if not piece:
                             continue
@@ -615,6 +730,8 @@ def lie_closure(
     degree_cap: int,
     depth_cap: int = DEFAULT_BRACKET_DEPTH,
     targets: Sequence[VectorField] = (),
+    *,
+    ideal: dict[int, Poly] | None = None,
 ) -> LieClosureCertificate:
     """Close the linear span of the generators under brackets, with caps.
 
@@ -628,14 +745,18 @@ def lie_closure(
     {i: c_i}, meaning sum c_i x^(a + e_i) d/dx_i, and the bracket of the
     pieces (a, c) and (b, d) is <c, b> d - <d, a> c, of weight a + b.  So
     the bracket of two basis elements is the sum of the brackets of their
-    piece pairs, and it goes into one span in monomial coordinates.  When
-    every nonzero generator is weight-homogeneous (both shear families,
-    codim2 on a monomial ideal such as the axis line), so is every basis
-    element.  The fields whose components lie in the generators' monomial
-    ideal, and vanish wherever every generator does, then form a Lie
-    algebra that holds the closure; a pair is skipped once the span holds
-    all of them of its weight (the ceiling).  The certificate is
-    byte-identical to bracketing and reducing every pair.
+    piece pairs, and it goes into one span in monomial coordinates.
+
+    Every family gets one ceiling.  In the finest grading of the weights in
+    which each generator is homogeneous (the weight itself when each has one
+    piece), every basis element is homogeneous too.  The closure lies in the
+    Lie algebra of fields with components in an ideal J, zero on every
+    component that all generators leave zero, and with divergence in J when
+    each generator's is; a pair is skipped once the span holds all of its
+    grade.  J is the generators' monomial ideal, or the ideal of a graph,
+    which must hold every generator component: `ideal` maps k to q_k, free
+    of every key, for J = (x_k - q_k), and codim2 passes it when X is one.
+    The certificate is byte-identical to bracketing and reducing every pair.
     """
     generators = list(generators)
     if not generators:
@@ -650,7 +771,7 @@ def lie_closure(
             )
     basis = MonomialBasis(nvars, degree_cap)
     span = TrackedSpan()
-    records, discarded = _closure(generators, basis, span, depth_cap)
+    records, discarded = _closure(generators, basis, span, depth_cap, ideal)
     depth_reached = max((rec.depth for rec in records), default=0)
 
     target_records = []

@@ -31,7 +31,7 @@ from .density import (
 )
 from .linalg import TrackedSpan
 from .poly import MonomialBasis, Poly, grlex_key, monomial_multiples, parse_poly
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .fields import VectorField, shear_pair_residual
 from . import serialize
 
@@ -331,6 +331,27 @@ class Codim2Certificate:
         return doc
 
 
+def _graph(data: SubvarietyInput) -> dict[int, Poly] | None:
+    """{k: q_k} when each generator is c * (x_k - q_k) and x_k lies in no other term of any.
+
+    X is then the graph x_k = q_k over the other coordinates, and its ideal,
+    the ideal of the generators, is the polynomials that vanish after x_k -> q_k.
+    """
+    n = data.nvars
+    terms = [exp for gen in data.generators for exp in gen.terms]
+    graph = {}
+    for gen in data.generators:
+        for k in range(n):
+            unit = tuple(int(m == k) for m in range(n))
+            if unit in gen.terms and sum(exp[k] > 0 for exp in terms) == 1:
+                c = gen.terms[unit]
+                graph[k] = (Poly.monomial(n, unit, c) - gen).scale(ONE / c)
+                break
+        else:
+            return None
+    return graph
+
+
 def codim2_module_certificate(
     data: SubvarietyInput,
     degree: int,
@@ -343,7 +364,11 @@ def codim2_module_certificate(
     output, forms the family {f h_i d_i, x_j f h_i d_i} of complete
     fields vanishing on X (f monomial in Ker d_i), and runs the Lie
     closure against every monomial target with coefficient in the
-    principal ideal of h1*h2 up to `degree`.
+    principal ideal of h1*h2 up to `degree`.  When X is a graph x_k = q_k
+    over the other coordinates (`_graph`), the closure's ceiling counts the
+    fields with components and divergence in the ideal of X, which is
+    membership by substitution; otherwise it uses the generators' monomial
+    ideal.  Either way the certificate is the same.
     """
     if degree < 0:
         raise ValueError("degree bound must be non-negative")
@@ -401,5 +426,5 @@ def codim2_module_certificate(
         for axis in (axis1, axis2)
     ]
 
-    closure = lie_closure(generators, degree_cap, depth_cap, targets)
+    closure = lie_closure(generators, degree_cap, depth_cap, targets, ideal=_graph(data))
     return Codim2Certificate(data, (axis1, axis2), h1, h2, degree, closure)

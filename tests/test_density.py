@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shearkit import density
+from shearkit import density, subvariety
 from shearkit.density import (
     BasisRecord,
     _exact_det,
@@ -540,18 +540,101 @@ def _basis_fields(cert):
     return fields
 
 
-def _ceiling_model(generators, weight):
-    """dim L(I, Z)_w counted from the definition: the i outside Z for which
-    x^(w + e_i) is a multiple of some monomial of some generator."""
-    monomials = [exp for gen in generators for comp in gen.components for exp in comp.terms]
-    count = 0
-    for i in range(len(weight)):
-        if all(gen.components[i].is_zero() for gen in generators):
-            continue
-        exp = [w + (k == i) for k, w in enumerate(weight)]
-        if min(exp) >= 0 and any(all(e >= m for e, m in zip(exp, mono)) for mono in monomials):
-            count += 1
-    return count
+def _divergence(field):
+    return sum((comp.partial(i) for i, comp in enumerate(field.components)), Poly.zero(field.nvars))
+
+
+def _ceiling_model(generators, basis, powers, graph=None):
+    """dim L'(J, Z) per grade up to the cap, as the nullity of the grade's monomial fields
+    under V -> (V_k mod J, div V mod J), or L(J, Z) when some generator's divergence
+    leaves J.  J is the ideal of the graph x_k = graph[k], where p lies in J iff it
+    vanishes after the substitution, or else the monomial ideal of the generators,
+    where p mod J drops the terms that some generator monomial divides."""
+    n = basis.nvars
+    if graph:
+        point = [graph.get(k, Poly.variable(n, k)) for k in range(n)]
+
+        def normal(p):
+            return p.substitute(point)
+    else:
+        monomials = [exp for gen in generators for comp in gen.components for exp in comp.terms]
+
+        def normal(p):
+            return Poly(n, {
+                exp: c for exp, c in p.terms.items()
+                if not any(all(e >= m for e, m in zip(exp, mono)) for mono in monomials)
+            })
+
+    refine = all(normal(_divergence(gen)).is_zero() for gen in generators)
+    live = [i for i in range(n) if any(not gen.components[i].is_zero() for gen in generators)]
+    grades = {}
+    for exp in basis:
+        for i in live:
+            field = VectorField.monomial(n, i, Poly.monomial(n, exp, Scalar.exact(1)))
+            image = {(i, m): c for m, c in normal(field.components[i]).terms.items()}
+            if refine:
+                image.update({(-1, m): c for m, c in normal(_divergence(field)).terms.items()})
+            weight = [e - (k == i) for k, e in enumerate(exp)]
+            grades.setdefault(sum(w * m for w, m in zip(weight, powers)), []).append(image)
+    model = {}
+    for grade, images in grades.items():
+        labels, span = {}, TrackedSpan()
+        for image in images:
+            span.insert({labels.setdefault(label, len(labels)): c for label, c in image.items()})
+        if len(images) > span.dimension:
+            model[grade] = len(images) - span.dimension
+    return model
+
+
+def _coset(reduced, weight):
+    """The representative of weight + (the Q-span of the reduced rows) that is 0 at every pivot."""
+    vec = [Scalar.exact(w) for w in weight]
+    for pivot, row in reduced.items():
+        factor = vec[pivot]
+        if factor:
+            for k, c in row.items():
+                vec[k] = vec[k] - factor * c
+    return tuple(vec)
+
+
+def _assert_rows_within_ceiling(cert, graph=None):
+    generators = [gen for gen in cert.generators if not gen.is_zero()]
+    pieces = [density._weight_pieces(gen) for gen in generators]
+    basis = MonomialBasis(cert.nvars, cert.degree_cap)
+    powers = density._grading(pieces, basis)
+
+    def key(weight):
+        return sum(w * m for w, m in zip(weight, powers))
+
+    # the finest grading: two weights up to the cap share a key iff they differ by a
+    # rational combination of the differences between one generator's piece weights
+    diffs = TrackedSpan()
+    for p in pieces:
+        first = next(iter(p))
+        for w in p:
+            diff = [a - b for a, b in zip(w, first)]
+            diffs.insert({k: Scalar.exact(d) for k, d in enumerate(diff) if d})
+    reduced = diffs.reduced_rows()
+    weights = {exp[:i] + (exp[i] - 1,) + exp[i + 1:] for exp in basis for i in range(cert.nvars)}
+    cosets = {}
+    for w in weights:
+        cosets.setdefault(key(w), set()).add(_coset(reduced, w))
+    assert all(len(found) == 1 for found in cosets.values())
+    assert len(set().union(*cosets.values())) == len(cosets)
+
+    ceiling = _ideal_ceiling(basis, pieces, powers, graph)
+    # a grade of count 0 may be listed or not: either way its pairs are skipped
+    model = _ceiling_model(generators, basis, powers, graph)
+    assert {g: c for g, c in ceiling.items() if c} == model
+    rows = {}
+    for field in _basis_fields(cert):
+        grades = {key(w) for w in density._weight_pieces(field)}
+        assert len(grades) == 1  # every row is homogeneous
+        (grade,) = grades
+        rows[grade] = rows.get(grade, 0) + 1
+    assert all(count <= ceiling[grade] for grade, count in rows.items())
+    # the ceiling is reached: those grades' later brackets are not computed
+    assert any(count == ceiling[grade] for grade, count in rows.items())
 
 
 def _codim2_closure(generators, nvars, degree):
@@ -559,6 +642,8 @@ def _codim2_closure(generators, nvars, degree):
     return codim2_module_certificate(data, degree).closure
 
 
+# families whose generators each have one weight: the grading is by weight, and J is
+# the generators' monomial ideal (codim2 on a coordinate subspace passes no graph)
 @pytest.mark.parametrize(
     "build",
     [
@@ -573,22 +658,29 @@ def _codim2_closure(generators, nvars, degree):
          "codim2-square-d4", "codim2-axis-c4-d3"],
 )
 def test_no_weight_holds_more_rows_than_its_ceiling(build):
-    cert = build()
-    generators = [gen for gen in cert.generators if not gen.is_zero()]
-    basis = MonomialBasis(cert.nvars, cert.degree_cap)
-    ceiling = _ideal_ceiling(basis, generators)
-    # every weight of a field up to the cap, with its dimension in L(I, Z)
-    weights = {exp[:i] + (exp[i] - 1,) + exp[i + 1:] for exp in basis for i in range(cert.nvars)}
-    assert ceiling == {
-        w: _ceiling_model(generators, w) for w in weights if _ceiling_model(generators, w)
-    }
-    rows = {}
-    for field in _basis_fields(cert):
-        weight = _weight(field)
-        rows[weight] = rows.get(weight, 0) + 1
-    assert all(count <= ceiling[weight] for weight, count in rows.items())
-    # the ceiling is reached: those weights' later brackets are not computed
-    assert any(count == ceiling[weight] for weight, count in rows.items())
+    _assert_rows_within_ceiling(build())
+
+
+def _graph_closure(generators, graph, degree):
+    """codim2 on X = V(generators) in C^3, which `subvariety._graph` reads as this graph."""
+    data = SubvarietyInput(3, tuple(P(g, 3) for g in generators))
+    assert subvariety._graph(data) == {k: P(q, 3) for k, q in graph.items()}
+    return codim2_module_certificate(data, degree).closure, {k: P(q, 3) for k, q in graph.items()}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _graph_closure(["x1", "x2-x3^2"], {0: "0", 1: "x3^2"}, 3),
+        lambda: _graph_closure(["x1-x3^2", "x2-x3^3"], {0: "x3^2", 1: "x3^3"}, 3),
+        # div(x1 d/dx1) = 1 leaves J = (x1): L(J, Z) is the ceiling, not L'(J, Z)
+        lambda: (lie_closure([F("[x1; 0]"), F("[0; x1^2]"), F("[x1*x2; x1]")], 3), None),
+    ],
+    ids=["codim2-parabola-d3", "codim2-twisted-cubic-d3", "divergence-outside-J-D3"],
+)
+def test_no_grade_holds_more_rows_than_its_ceiling(build):
+    cert, graph = build()
+    _assert_rows_within_ceiling(cert, graph)
 
 
 @pytest.mark.parametrize(
@@ -638,6 +730,50 @@ def test_codim2_axis_skips_the_brackets_above_the_ceiling(monkeypatch):
     monkeypatch.setattr(density, "_weight_bracket", lambda *args: calls.append(1) or bracket(*args))
     _codim2_closure(["x1", "x2"], 3, 6)
     assert len(calls) <= 35_385 // 10
+
+
+def test_a_graph_ideal_must_be_a_graph_that_holds_every_generator_component():
+    # x1 d/dx1 is not zero on the graph x1 = x3^2, so that ideal bounds nothing
+    with pytest.raises(PreconditionError, match="does not vanish on the graph"):
+        lie_closure([F("[x1; 0; 0]"), F("[0; x3; 0]")], 3, ideal={0: P("x3^2", 3)})
+    # x1 = x2, x2 = x3 is no graph over x3: substitution would not test membership
+    with pytest.raises(PreconditionError, match="depends on a graph coordinate"):
+        lie_closure([F("[x1 - x2; 0; 0]")], 3, ideal={0: P("x2", 3), 1: P("x3", 3)})
+
+
+def test_codim2_parabola_skips_the_brackets_above_the_ceiling(monkeypatch):
+    # bracketing every pair within the caps computes 63,938 piece brackets here
+    calls = []
+    bracket = density._weight_bracket
+    monkeypatch.setattr(density, "_weight_bracket", lambda *args: calls.append(1) or bracket(*args))
+    _codim2_closure(["x1", "x2-x3^2"], 3, 6)
+    assert len(calls) <= 63_938 // 5
+
+
+@st.composite
+def graph_subvarieties(draw):
+    """X = {x1 = c x3^a, x2 = c' x3^b} in C^3 (c = 0 included) and a target degree."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    gens = []
+    for k, e in ((0, a), (1, b)):
+        q = Poly.monomial(3, (0, 0, e), draw(gaussian_rationals))
+        gens.append(Poly.variable(3, k) - q)
+    return SubvarietyInput(3, tuple(gens)), draw(st.integers(max(1, a, b), 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph_subvarieties())
+@example((SubvarietyInput(3, (P("x1", 3), P("x2-x3^2", 3))), 2))
+@example((SubvarietyInput(3, (P("x1-x3^2", 3), P("x2-x3^3", 3))), 3))
+def test_codim2_on_a_graph_matches_reference(case):
+    data, degree = case
+    assert subvariety._graph(data) is not None
+    closure = codim2_module_certificate(data, degree).closure
+    expected = _reference_closure(
+        closure.generators, closure.degree_cap, closure.depth_cap,
+        [record.target for record in closure.targets],
+    )
+    assert closure.to_json_dict() == expected.to_json_dict()
 
 
 @st.composite
