@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from operator import add, ge, mul, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ArityMismatch, PreconditionError, ShearKitError
 from .fields import (
@@ -485,12 +485,7 @@ def _grading(
     piece the forms are the coordinates, and the grade is the weight.
     """
     n, radix = basis.nvars, basis.degree + 4
-    if all(len(p) == 1 for p in pieces):
-        return [radix**k for k in range(n)]
-    diffs = []
-    for p in pieces:
-        first, *rest = p
-        diffs.extend(tuple(map(sub, w, first)) for w in rest)
+    diffs = [tuple(map(sub, w, first)) for p in pieces for first, *rest in [p] for w in rest]
     forms = []
     columns = [{t: Scalar.exact(d[k]) for t, d in enumerate(diffs) if d[k]} for k in range(n)]
     for vec in nullspace(columns):
@@ -504,7 +499,7 @@ def _ideal_ceiling(
     basis: MonomialBasis,
     pieces: list[dict[tuple[int, ...], dict[int, Scalar]]],
     powers: list[int],
-    ideal: dict[int, Poly] | None = None,
+    on_graph: Callable[[tuple[int, ...]], Poly] | None = None,
 ) -> dict[int, int]:
     """Grade key -> dimension of that grade of L'(J, Z) within the cap, which holds the closure.
 
@@ -515,15 +510,13 @@ def _ideal_ceiling(
     So is L'(J, Z), the V in it with div V in J, since div [V, W] =
     V(div W) - W(div V) and V(f) lies in J for every f.  It holds the fields
     when each one's divergence lies in J; otherwise L(J, Z) is counted.  J is
-    the ideal of the graph x_k = ideal[k] (each free of every key of `ideal`),
-    which must hold every component of the fields, or else the monomial ideal
-    that their monomials generate.
+    the ideal of a graph that holds every component of the fields, given by
+    `_graph_images`' `on_graph`, or else the monomial ideal that their
+    monomials generate.
     """
     live = sorted({i for p in pieces for coords in p.values() for i in coords})
-    # with every q_k = 0 the graph is a coordinate subspace, and the closed form below
-    # counts the generators' monomial ideal, which lies in its ideal (x_k)
-    if ideal and any(ideal.values()):
-        return _graph_ceiling(basis, pieces, powers, ideal, live)
+    if on_graph is not None:
+        return _graph_ceiling(basis, pieces, powers, on_graph, live)
     monomials = {
         w[:i] + (w[i] + 1,) + w[i + 1 :] for p in pieces for w, coords in p.items() for i in coords
     }
@@ -557,26 +550,25 @@ def _ideal_ceiling(
 
 def _div_coefficient(w: tuple[int, ...], coords: dict[int, Scalar]) -> Scalar:
     """s with div(sum of c_i x^(w + e_i) d/dx_i) = s x^w."""
-    return sum((c * (w[i] + 1) for i, c in coords.items() if w[i] >= 0), ZERO)
+    return sum((c * (w[i] + 1) for i, c in coords.items()), ZERO)
 
 
-def _graph_ceiling(
-    basis: MonomialBasis,
-    pieces: list[dict[tuple[int, ...], dict[int, Scalar]]],
-    powers: list[int],
-    graph: dict[int, Poly],
-    live: list[int],
-) -> dict[int, int]:
-    """`_ideal_ceiling` for J the ideal of the graph; a q_k on a graph coordinate or a
-    field component outside J raises.
+def _graph_images(
+    generators: list[VectorField], graph: dict[int, Poly], nvars: int
+) -> Callable[[tuple[int, ...]], Poly] | None:
+    """x^exp -> its value on the graph x_k = graph[k], cached; None when every q_k is 0.
 
-    p lies in J iff it vanishes on the graph, that is, iff it is zero after
-    x_k -> graph[k].  A grade's count is the nullity of its monomial fields
-    x^(w + e_i) d/dx_i, i live, under V -> (each V_k and div V on the graph).
+    Raises unless each key is a coordinate and each q_k has `nvars` variables
+    and is free of every key, so that p lies in the ideal J = (x_k - q_k) iff
+    it is zero after x_k -> q_k, and unless every generator component lies in
+    J.  With every q_k = 0 the graph is a coordinate subspace, and the
+    generators' monomial ideal, which its ideal (x_k) holds, gives the ceiling.
     """
-    if any(exp[k] for q in graph.values() for exp in q.terms for k in graph):
-        raise PreconditionError("a graph value depends on a graph coordinate")
-    nvars = basis.nvars
+    for k, q in graph.items():
+        if k not in range(nvars) or q.nvars != nvars:
+            raise PreconditionError(f"graph entry {k!r} is no value of one of {nvars} coordinates")
+        if any(exp[j] for exp in q.terms for j in graph):
+            raise PreconditionError("a graph value depends on a graph coordinate")
     point = [graph.get(k, Poly.variable(nvars, k)) for k in range(nvars)]
     images = {(0,) * nvars: Poly.constant(nvars, 1)}
 
@@ -588,18 +580,36 @@ def _graph_ceiling(
             found = images[exp] = on_graph(exp[:t] + (exp[t] - 1,) + exp[t + 1 :]) * point[t]
         return found
 
+    for gen in generators:
+        for comp in gen.components:
+            image: dict = {}  # minus the component on the graph
+            for exp, c in comp.terms.items():
+                if found := on_graph(exp).terms:
+                    _sub_scaled(image, c, found)
+            if image:
+                raise PreconditionError("a generator component does not vanish on the graph")
+    return on_graph if any(graph.values()) else None
+
+
+def _graph_ceiling(
+    basis: MonomialBasis,
+    pieces: list[dict[tuple[int, ...], dict[int, Scalar]]],
+    powers: list[int],
+    on_graph: Callable[[tuple[int, ...]], Poly],
+    live: list[int],
+) -> dict[int, int]:
+    """`_ideal_ceiling` for J the ideal of a graph, with `_graph_images`' `on_graph`.
+
+    p lies in J iff it vanishes on the graph.  A grade's count is the
+    nullity of its monomial fields x^(w + e_i) d/dx_i, i live, under
+    V -> (each V_k and div V on the graph).
+    """
     refine = True
     for p in pieces:
-        components: dict[int, dict] = {}
         div: dict = {}
         for w, coords in p.items():
-            for i, c in coords.items():
-                monomial = on_graph(w[:i] + (w[i] + 1,) + w[i + 1 :]).terms
-                _sub_scaled(components.setdefault(i, {}), -c, monomial)
             if s := _div_coefficient(w, coords):
                 _sub_scaled(div, -s, on_graph(w).terms)
-        if any(components.values()):
-            raise PreconditionError("a generator component does not vanish on the graph")
         refine = refine and not div
     grades: dict[int, list[dict]] = {}
     for exp in basis:
@@ -647,7 +657,7 @@ def _closure(
     basis: MonomialBasis,
     span: TrackedSpan,
     depth_cap: int,
-    ideal: dict[int, Poly] | None = None,
+    on_graph: Callable[[tuple[int, ...]], Poly] | None = None,
 ) -> tuple[list[BasisRecord], int]:
     """Close the generators under brackets in weight coordinates, reducing in `span`.
 
@@ -671,7 +681,7 @@ def _closure(
     pieces = {k: p for k, gen in enumerate(generators) if (p := _weight_pieces(gen))}
     powers = _grading(list(pieces.values()), basis)
     # grade key -> its ceiling minus the rows of that grade
-    free = _ideal_ceiling(basis, list(pieces.values()), powers, ideal)
+    free = _ideal_ceiling(basis, list(pieces.values()), powers, on_graph)
 
     def insert(parts, kind: str, left: int, right: int | None, depth: int) -> None:
         row = span.insert(_monomial_coords(parts, basis), source=(kind, left, right))
@@ -756,6 +766,7 @@ def lie_closure(
     grade.  J is the generators' monomial ideal, or the ideal of a graph,
     which must hold every generator component: `ideal` maps k to q_k, free
     of every key, for J = (x_k - q_k), and codim2 passes it when X is one.
+    Any other `ideal` raises PreconditionError, whatever the q_k are.
     The certificate is byte-identical to bracketing and reducing every pair.
     """
     generators = list(generators)
@@ -769,9 +780,10 @@ def lie_closure(
             raise PreconditionError(
                 f"generator {gen} exceeds the coefficient degree cap {degree_cap}"
             )
+    on_graph = None if ideal is None else _graph_images(generators, ideal, nvars)
     basis = MonomialBasis(nvars, degree_cap)
     span = TrackedSpan()
-    records, discarded = _closure(generators, basis, span, depth_cap, ideal)
+    records, discarded = _closure(generators, basis, span, depth_cap, on_graph)
     depth_reached = max((rec.depth for rec in records), default=0)
 
     target_records = []

@@ -622,7 +622,8 @@ def _assert_rows_within_ceiling(cert, graph=None):
     assert all(len(found) == 1 for found in cosets.values())
     assert len(set().union(*cosets.values())) == len(cosets)
 
-    ceiling = _ideal_ceiling(basis, pieces, powers, graph)
+    on_graph = None if graph is None else density._graph_images(generators, graph, cert.nvars)
+    ceiling = _ideal_ceiling(basis, pieces, powers, on_graph)
     # a grade of count 0 may be listed or not: either way its pairs are skipped
     model = _ceiling_model(generators, basis, powers, graph)
     assert {g: c for g, c in ceiling.items() if c} == model
@@ -739,6 +740,13 @@ def test_a_graph_ideal_must_be_a_graph_that_holds_every_generator_component():
     # x1 = x2, x2 = x3 is no graph over x3: substitution would not test membership
     with pytest.raises(PreconditionError, match="depends on a graph coordinate"):
         lie_closure([F("[x1 - x2; 0; 0]")], 3, ideal={0: P("x2", 3), 1: P("x3", 3)})
+    # with every q_k = 0 the graph is x1 = 0, which x2 d/dx2 does not vanish on either
+    with pytest.raises(PreconditionError, match="does not vanish on the graph"):
+        lie_closure([F("[x1; 0; 0]"), F("[0; x2; 0]")], 3, ideal={0: P("0", 3)})
+    # a key outside the coordinates, or a value in other variables, is no graph in C^3
+    for ideal in ({3: P("0", 3)}, {-1: P("0", 3)}, {0: P("x2", 2)}):
+        with pytest.raises(PreconditionError, match="is no value of one of 3 coordinates"):
+            lie_closure([F("[x1; 0; 0]")], 3, ideal=ideal)
 
 
 def test_codim2_parabola_skips_the_brackets_above_the_ceiling(monkeypatch):
