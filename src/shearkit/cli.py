@@ -49,9 +49,20 @@ def _require_positive(args, *names: str) -> None:
 _MAX_COUNT = 2**63 - 1
 
 
-def _require_count(name: str, *values: int) -> None:
-    if any(value > _MAX_COUNT for value in values):
-        raise ShearKitError(f"{name} must be at most {_MAX_COUNT}, got {max(values)}")
+def _require_count(name: str, *values: int, limit: int = _MAX_COUNT) -> None:
+    if any(value > limit for value in values):
+        raise ShearKitError(f"{name} must be at most {limit}, got {max(values)}")
+
+
+def _source(args, first: str, second: str, required: bool = True) -> str | None:
+    """Which of two flags for one input was given; refuses both, and neither if required."""
+    given = [name for name in (first, second) if getattr(args, name) is not None]
+    flags = [f"--{name.replace('_', '-')}" for name in (first, second)]
+    if len(given) == 2:
+        raise ShearKitError(f"{flags[0]} and {flags[1]} are two sources of one input; give one")
+    if required and not given:
+        raise ShearKitError(f"provide {flags[0]} or {flags[1]}")
+    return given[0] if given else None
 
 
 def _emit(document: dict, output: str | None) -> None:
@@ -147,17 +158,15 @@ def _run_closure(args) -> int:
         value = getattr(args, name)
         if value is not None and value < 0:
             raise ShearKitError(f"parameter {name} must be non-negative, got {value}")
-    if args.generators:
+    if _source(args, "generators", "shear_family") == "generators":
         generators = _read_fields_file(args.generators, None)
         if not generators:
             raise ShearKitError("generators file is empty")
         nvars = generators[0].nvars
-    elif args.shear_family is not None:
+    else:
         generators = density.shear_generator_family(args.shear_family, 2)
         nvars = 2
-    else:
-        raise ShearKitError("provide --generators FILE or --shear-family DEGREE")
-    if args.targets:
+    if _source(args, "targets", "monomial_targets", required=False) == "targets":
         targets = _read_fields_file(args.targets, nvars)
     elif args.monomial_targets is not None:
         targets = density.monomial_field_targets(nvars, args.monomial_targets)
@@ -169,16 +178,12 @@ def _run_closure(args) -> int:
 
 
 def _load_subvariety(args) -> SubvarietyInput:
-    if args.ideal:
+    if _source(args, "ideal", "gens") == "ideal":
         doc = json.loads(Path(args.ideal).read_text(encoding="utf-8"))
         return SubvarietyInput.from_json_dict(doc)
-    if args.gens:
-        if args.nvars is None:
-            raise ShearKitError("--gens needs -n/--nvars")
-        return SubvarietyInput(
-            args.nvars, tuple(parse_poly(g, args.nvars) for g in args.gens)
-        )
-    raise ShearKitError("provide --ideal FILE or --gens POLY...")
+    if args.nvars is None:
+        raise ShearKitError("--gens needs -n/--nvars")
+    return SubvarietyInput(args.nvars, tuple(parse_poly(g, args.nvars) for g in args.gens))
 
 
 def _run_codim2(args) -> int:
@@ -193,6 +198,8 @@ def _run_codim2(args) -> int:
 
 def _run_sl_demo(args) -> int:
     _require_positive(args, "n", "trials")
+    # sample sizes share the monomial bases' size budget
+    _require_count("--trials", args.trials, limit=MAX_BASIS_SIZE)
     n = args.n
     d1, d2 = density.sl_pair_derivations(n)
     det = density.determinant_poly(n)
@@ -283,10 +290,8 @@ def _run_approx(args) -> int:
         raise ShearKitError("slope fitting needs at least three matched samples")
     if len(set(substeps)) != len(substeps):
         raise ShearKitError(f"slope fitting needs distinct x values, got {substeps}")
-    # the sample and the finest sequence share the monomial bases' size budget
-    if args.points > MAX_BASIS_SIZE:
-        raise ShearKitError(f"--points must be at most {MAX_BASIS_SIZE}, got {args.points}")
-    if args.isotopy:
+    _require_count("--points", args.points, limit=MAX_BASIS_SIZE)
+    if _source(args, "isotopy", "field") == "isotopy":
         doc = serialize.require_keys(
             json.loads(Path(args.isotopy).read_text(encoding="utf-8")),
             "isotopy file",
@@ -297,8 +302,6 @@ def _run_approx(args) -> int:
         if args.steps not in (None, slices):
             raise ShearKitError(f"--steps {args.steps} differs from the file's {slices} fields")
     else:
-        if not args.field:
-            raise ShearKitError("provide --field or --isotopy FILE")
         field = parse_vector_field(args.field)
         slices = 1 if args.steps is None else args.steps
     if slices * max(substeps) > MAX_BASIS_SIZE:
@@ -342,15 +345,13 @@ def _run_basin(args) -> int:
     _require_count("--nu/--nv", args.nu, args.nv)
     if not all(-math.inf < bound < math.inf for bound in args.u + args.v):
         raise ShearKitError(f"--u and --v must be finite, got {args.u} and {args.v}")
-    if args.map:
+    if _source(args, "map", "builtin") == "map":
         doc = json.loads(Path(args.map).read_text(encoding="utf-8"))
         seq = dynamics.autoseq_from_json_dict(doc)
     elif args.builtin == "attracting-shears":
         seq = dynamics.attracting_shear_composition()
-    elif args.builtin == "radial-contraction":
-        seq = dynamics.radial_contraction()
     else:
-        raise ShearKitError("provide --map FILE or --builtin NAME")
+        seq = dynamics.radial_contraction()
     if args.grid:
         grid = dynamics.GridSpec.from_json_dict(
             json.loads(Path(args.grid).read_text(encoding="utf-8"))
@@ -399,8 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=density.DEFAULT_SEED)
+    def common(p, seeded=False):
+        # only the subcommands that sample points take a seed
+        if seeded:
+            p.add_argument("--seed", type=int, default=density.DEFAULT_SEED)
         p.add_argument("-o", "--output", help="write the JSON artifact here")
 
     p = sub.add_parser("verify-identity", help="check a named bracket identity exactly")
@@ -446,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sl-demo", help="random-point identity tests on determinant-1 matrices")
     p.add_argument("-n", type=int, default=2)
     p.add_argument("--trials", type=int, default=50)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(handler=_run_sl_demo)
 
     p = sub.add_parser("decompose", help="split a field into complete primitives")
@@ -464,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=25)
     p.add_argument("--scheme", choices=["symmetric", "plain"], default="symmetric")
     p.add_argument("--save-sequence", help="write the finest automorphism sequence here")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(handler=_run_approx)
 
     p = sub.add_parser("basin", help="classify a grid under iteration")

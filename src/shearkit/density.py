@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 
 from .errors import ArityMismatch, PreconditionError, ShearKitError
 from .fields import (
-    DEFAULT_NILPOTENCY_CAP,
     NilpotencyVerdict,
     VectorField,
     kernel_basis,
@@ -217,7 +216,6 @@ def check_compatibility(
     d2: VectorField,
     degree: int,
     candidate_ideals: Sequence[Poly] = (),
-    cap: int = DEFAULT_NILPOTENCY_CAP,
 ) -> CompatibilityVerdict:
     """One-sided compatibility verdict for a pair of derivations.
 
@@ -233,14 +231,14 @@ def check_compatibility(
         raise ArityMismatch("derivations disagree on variable count")
     if degree < 0:
         raise ValueError("degree bound must be non-negative")
-    report1 = nilpotency_report(d1, cap)
+    report1 = nilpotency_report(d1)
     if report1.verdict is not NilpotencyVerdict.NILPOTENT:
         raise PreconditionError(
             f"d1 must be locally nilpotent (verdict {report1.verdict.value})"
         )
     # d2 is diagonal, sum c_i x_i d/dx_i, exactly when every term has weight 0
     if _weight(d2) != (0,) * d2.nvars:
-        report2 = nilpotency_report(d2, cap)
+        report2 = nilpotency_report(d2)
         if report2.verdict is not NilpotencyVerdict.NILPOTENT:
             raise PreconditionError(
                 "d2 must be locally nilpotent or diagonal "

@@ -20,8 +20,8 @@ Every elementary flow has one numeric body, the in-place `update`, on an
 copy for a whole `AutoSeq`), and `apply` on a one-column batch, so single
 points and batches share their arithmetic.
 `apply_exact` is the separate exact-Scalar regime for shears.  The
-Runge-Kutta oracle `integrate_flow` is batched the same way, with step
-control per point.
+Runge-Kutta oracle `integrate_flow` takes the same (nvars, k) arrays,
+with step control per point.
 """
 
 from __future__ import annotations
@@ -532,30 +532,29 @@ def sample_ball(nvars: int, radius: float, count: int, seed: int = DEFAULT_SEED)
     return points
 
 
+# two successive oracle estimates of a point that agree within this are final
+_ORACLE_TOL = 1e-10
+
+
 def integrate_flow(
     field_at: Callable[[float], VectorField],
-    start: Sequence[complex] | np.ndarray,
+    start: np.ndarray,
     total_time: float,
-    tol: float = 1e-10,
     max_doublings: int = 16,
-) -> tuple[complex, ...] | np.ndarray:
+) -> np.ndarray:
     """Classical fixed-step fourth-order integration with Richardson control.
 
     `start` is an (nvars, k) complex array of k start points, and the
     value is the (nvars, k) array of their endpoints.  Every point runs
     at 32 steps first; each doubling reruns, from their start points,
     only the points still refining, and a point keeps its finer estimate
-    as soon as two successive ones agree within tol.  A point whose
-    estimate is non-finite (a pole; NaN never agrees) keeps it at once,
-    and one that never agrees keeps its last estimate.  So each point
-    gets the step schedule and the value it would get alone.  A flat
-    `start` such as a tuple is one point, evaluated as a one-column
-    batch, and gives a tuple of complex.  Independent of the composition pipeline.
+    as soon as two successive ones agree within _ORACLE_TOL.  A point
+    whose estimate is non-finite (a pole; NaN never agrees) keeps it at
+    once, and one that never agrees keeps its last estimate.  So each
+    point gets the step schedule and the value it would get alone.
+    Independent of the composition pipeline.
     """
-    single = np.ndim(start) == 1
     starts = np.array(start, dtype=complex)
-    if single:
-        starts = starts.reshape(-1, 1)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         out = np.empty_like(z)
@@ -584,10 +583,10 @@ def integrate_flow(
             break
         steps *= 2
         finer = run(steps, starts[:, active])
-        agreed = np.max(np.abs(finer - estimate[:, active]), axis=0) < tol
+        agreed = np.max(np.abs(finer - estimate[:, active]), axis=0) < _ORACLE_TOL
         estimate[:, active] = finer
         active = active[~agreed]
-    return tuple(estimate[:, 0].tolist()) if single else estimate
+    return estimate
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -616,10 +615,6 @@ class ConvergenceReport:
     radius: float
     sample_count: int
     seed: int
-
-    @property
-    def monotone_decreasing(self) -> bool:
-        return all(a > b for a, b in zip(self.max_errors, self.max_errors[1:]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -927,6 +922,10 @@ def _estimate_spectral_radius(
     return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
 
+# basin_sample refuses a supplied fixed point that the map moves by more than this
+_FIXED_POINT_TOL = 1e-9
+
+
 def basin_sample(
     seq: AutoSeq,
     fixed_point: Sequence[complex],
@@ -934,7 +933,6 @@ def basin_sample(
     max_iter: int = 500,
     attract_radius: float = 1e-6,
     escape_radius: float = 1e6,
-    fixed_point_tol: float = 1e-9,
 ) -> BasinResult:
     """Classify grid points by iterating the sequence.
 
@@ -950,7 +948,7 @@ def basin_sample(
         raise ArityMismatch("fixed point dimension disagrees with the sequence")
     moved = seq.apply(fixed_point)
     drift = math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(moved, fixed_point)))
-    if drift > fixed_point_tol:
+    if drift > _FIXED_POINT_TOL:
         raise PreconditionError(
             f"supplied point moves by {drift:.3e} under the map; not a fixed point"
         )

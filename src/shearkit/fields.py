@@ -349,11 +349,6 @@ class PolyMap:
                 raise PreconditionError("stored inverse does not invert the map exactly")
         return forward
 
-    def is_identity(self) -> bool:
-        return all(
-            comp == Poly.variable(self.nvars, i) for i, comp in enumerate(self.components)
-        )
-
     def compose(self, other: "PolyMap") -> "PolyMap":
         """self after other."""
         if self.nvars != other.nvars:
@@ -395,7 +390,7 @@ def _as_exact_scalar(t) -> Scalar:
     raise RegimeMismatch("exact flows take exact time values")
 
 
-def flow_nilpotent(field: VectorField, t, cap: int = DEFAULT_NILPOTENCY_CAP, verify: bool = True) -> PolyMap:
+def flow_nilpotent(field: VectorField, t, cap: int = DEFAULT_NILPOTENCY_CAP) -> PolyMap:
     """Exact time-t flow of a locally nilpotent field, with exact inverse.
 
     Component i is the finite series sum_k t^k/k! V^k(x_i); the inverse
@@ -424,7 +419,7 @@ def flow_nilpotent(field: VectorField, t, cap: int = DEFAULT_NILPOTENCY_CAP, ver
             comps.append(total)
         return comps
 
-    return PolyMap.with_inverse(series(t), series(-t), verify=verify)
+    return PolyMap.with_inverse(series(t), series(-t))
 
 
 def flow_semisimple(weights: Sequence[int], lam: Scalar) -> PolyMap:

@@ -119,11 +119,6 @@ class Poly:
             return -1
         return max(sum(exp) for exp in self.terms)
 
-    def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
-
     def coefficient(self, exponents: Sequence[int]) -> Scalar:
         return self.terms.get(tuple(exponents), Scalar.exact(0))
 

@@ -19,6 +19,7 @@ all verdicts are one-sided; no Groebner machinery is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, PreconditionError
@@ -30,7 +31,7 @@ from .density import (
     lie_closure,
 )
 from .linalg import TrackedSpan
-from .poly import MonomialBasis, Poly, grlex_key, monomial_multiples, parse_poly
+from .poly import MAX_BASIS_SIZE, MonomialBasis, Poly, grlex_key, monomial_multiples, parse_poly
 from .scalars import ONE, Scalar
 from .fields import VectorField, shear_pair_residual
 from . import serialize
@@ -236,10 +237,6 @@ class LocalIdentityReport:
 
     checks: tuple[IdentityCheck, IdentityCheck, IdentityCheck]
 
-    @property
-    def all_hold(self) -> bool:
-        return all(check.holds for check in self.checks)
-
 
 def verify_local_identities(
     r: Poly, h: Poly, s: int, f: Poly, g: Poly
@@ -261,8 +258,16 @@ def verify_local_identities(
     if n < 2:
         raise PreconditionError("the local identities need at least two variables")
     violations = []
+    terms = max(len(h.terms), 1)
     if not isinstance(s, int) or s < 0:
         violations.append("exponent s must be a non-negative integer")
+    # h**s takes s products, and each term of h^s is a product of s of the t terms of h;
+    # s alone bounds that work from below, so a huge s never reaches the binomial
+    elif s > MAX_BASIS_SIZE or s * math.comb(s + terms - 1, s) > MAX_BASIS_SIZE:
+        violations.append(
+            f"exponent s = {s} is over budget: with t = {terms} terms in h, the work bound "
+            f"s * C(s + t - 1, s) of h^s must be at most {MAX_BASIS_SIZE}"
+        )
     if not r.partial(0).is_zero():
         violations.append("r must not depend on x1")
     if not h.partial(0).is_zero():

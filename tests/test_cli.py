@@ -64,6 +64,28 @@ class TestVerifyIdentity:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: identity 'local-triple' needs --h, --f, --g\n"
 
+    # h^s has at most C(s + t - 1, s) terms for the t terms of h: 1 for h = 1 and
+    # s + 1 for h = x3 + x4, so the budget s * C(s + t - 1, s) <= 100,000 ends at
+    # s = 100,000 and s = 315; h = x3 + x4 at s = 315 is left out, it takes seconds
+    @pytest.mark.parametrize(
+        "h, s, code",
+        [
+            ("1", 10**20, EXIT_USAGE),
+            ("1", 100_001, EXIT_USAGE),
+            ("1", 100_000, EXIT_OK),
+            ("x3 + x4", 10**20, EXIT_USAGE),
+            ("x3 + x4", 316, EXIT_USAGE),
+            ("x3 + x4", 20, EXIT_OK),
+        ],
+    )
+    def test_local_triple_exponent_is_bounded_by_the_work_of_h_to_the_s(self, capsys, h, s, code):
+        argv = ["verify-identity", "local-triple", "-n", "4", "--r", "0", "--h", h,
+                "-s", str(s), "--f", "1", "--g", "1"]
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == EXIT_USAGE:
+            assert len(err) == 1 and err[0].startswith(f"error: exponent s = {s} is over budget")
+
 
 class TestCompat:
     def test_coordinate_pair(self, capsys):
@@ -231,7 +253,7 @@ class TestDeterminism:
             out = tmp_path / f"{name}.json"
             code = run_cli(
                 "closure", "--shear-family", "3", "--monomial-targets", "3",
-                "-D", "3", "-o", str(out), "--seed", "7",
+                "-D", "3", "-o", str(out),
             )
             assert code == EXIT_OK
             outputs.append(out.read_bytes())
@@ -356,6 +378,8 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
         # degrees below zero, which a monomial basis refuses
         (["closure", "--shear-family", "-1", "-D", "2"], None),
         (["closure", "--shear-family", "3", "-D", "3", "--monomial-targets", "-1"], None),
+        # a sample past the monomial-basis budget, which would run until killed
+        (["sl-demo", "-n", "2", "--trials", str(10**20)], None),
     ],
     ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
          "approx-time-nan", "approx-values-overflow", "approx-substeps-repeated",
@@ -364,7 +388,7 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
          "map-factor-inf", "map-time-nan", "basin-max-iter-huge", "approx-substeps-huge",
          "basin-nu-huge", "approx-steps-huge", "approx-points-huge",
          "approx-isotopy-steps-mismatch", "closure-shear-family-negative",
-         "closure-monomial-targets-negative"],
+         "closure-monomial-targets-negative", "sl-demo-trials-huge"],
 )
 def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv, document):
     # json.dumps writes NaN and Infinity, which json.loads reads back as floats
@@ -423,3 +447,87 @@ def test_sl_demo_refuses_more_permutations_than_the_budget(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "362880 terms" in lines[0]
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identity", "al", "--f1", "x2", "--f2", "x1", "-n", "2"],
+        ["compat", "--d1", "[1;0]", "--d2", "[0;1]", "-d", "2"],
+        ["closure", "--shear-family", "3", "-D", "3"],
+        ["codim2", "--gens", "x1", "x2", "-n", "3", "-d", "2"],
+        ["decompose", "--field", "[x2^2; 0]"],
+        ["basin", "--builtin", "radial-contraction", "--nu", "3", "--nv", "3", "--csv", "{csv}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_refused_where_nothing_samples(tmp_path, capsys, argv):
+    argv = [part.replace("{csv}", str(tmp_path / "out.csv")) for part in argv]
+    assert run_cli(*argv, "-o", str(tmp_path / "out.json")) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(*argv, "--seed", "1") == EXIT_USAGE
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sl-demo", "-n", "2", "--trials", "5"],
+        ["approx", "--field", "[0; x2^2]", "--substeps", "4,8,16", "--points", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_read_where_points_are_sampled(tmp_path, argv):
+    written = {}
+    for seed in ((), ("--seed", "1729"), ("--seed", "7")):
+        out = tmp_path / f"run-{len(written)}.json"
+        assert run_cli(*argv, *seed, "-o", str(out)) == EXIT_OK
+        written[seed] = json.loads(out.read_bytes())
+    # the default seed is 1729, and the artifact names the seed it sampled with
+    assert written[()] == written[("--seed", "1729")]
+    seeds = [doc.get("seed", doc.get("report", {}).get("seed")) for doc in written.values()]
+    assert seeds == [1729, 1729, 7]
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["closure", "--generators", "{gens}", "--shear-family", "3", "-D", "3"],
+         ("--generators", "--shear-family")),
+        (["closure", "--shear-family", "3", "--targets", "{gens}", "--monomial-targets", "3",
+          "-D", "3"], ("--targets", "--monomial-targets")),
+        (["codim2", "--ideal", "{ideal}", "--gens", "x1", "x2", "-n", "3", "-d", "2"],
+         ("--ideal", "--gens")),
+        (["approx", "--isotopy", "{isotopy}", "--field", "[0; x2^2]", "--substeps", "2,4,8",
+          "--points", "2"], ("--isotopy", "--field")),
+        (["basin", "--map", "{map}", "--builtin", "radial-contraction", "--nu", "3", "--nv", "3",
+          "--csv", "{csv}"], ("--map", "--builtin")),
+    ],
+    ids=["closure-generators", "closure-targets", "codim2", "approx", "basin"],
+)
+def test_two_sources_of_one_input_are_refused(tmp_path, capsys, argv, flags):
+    from shearkit.dynamics import autoseq_to_json_dict, radial_contraction
+
+    files = {
+        "gens": "[1; 0]\n",
+        "ideal": json.dumps({"nvars": 3, "generators": ["x1", "x2"]}),
+        "isotopy": json.dumps({"fields": ["[1; 0]", "[0; 1]"]}),
+        "map": json.dumps(autoseq_to_json_dict(radial_contraction(2))),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [part.replace("{csv}", str(tmp_path / "out.csv")) for part in argv]
+    argv = [part.format(**{name: tmp_path / name for name in files}) for part in argv]
+    # each source alone is a valid input
+    for flag in flags:
+        at = argv.index(flag)
+        end = next((i for i in range(at + 1, len(argv)) if argv[i].startswith("-")), len(argv))
+        alone = argv[:at] + argv[end:]
+        assert run_cli(*alone, "-o", str(tmp_path / "out.json")) in (EXIT_OK, EXIT_NOT_ESTABLISHED)
+    (tmp_path / "out.csv").unlink(missing_ok=True)
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(flag in lines[0] for flag in flags)
+    assert not (tmp_path / "out.csv").exists()

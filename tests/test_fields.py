@@ -193,7 +193,7 @@ class TestFlows:
 
     def test_zero_time_is_identity(self, rng):
         v = random_triangular_field(rng, 3, 2)
-        assert flow_nilpotent(v, 0).is_identity()
+        assert flow_nilpotent(v, 0) == PolyMap.identity(3)
 
     def test_one_parameter_group_law(self, rng):
         for _ in range(5):
@@ -258,7 +258,7 @@ class TestSemisimpleFlow:
         assert flow.components == (P("2*x1", 2), P("1/2*x2", 2))
 
     def test_identity_at_one(self):
-        assert flow_semisimple([3, 5], Scalar.exact(1)).is_identity()
+        assert flow_semisimple([3, 5], Scalar.exact(1)) == PolyMap.identity(2)
 
     def test_composition_multiplies_factors(self):
         a = flow_semisimple([1, -1], Scalar.exact(2))
@@ -412,7 +412,7 @@ def _dense_kernel_basis(field, degree):
         Poly(field.nvars, {exp: value for exp, value in zip(basis, vec)})
         for vec in model_nullspace(rows, len(basis))
     ]
-    return sorted(kernel, key=lambda p: grlex_key(p.leading_monomial()))
+    return sorted(kernel, key=lambda p: grlex_key(max(p.terms, key=grlex_key)))
 
 
 @settings(max_examples=200, deadline=None)
