@@ -16,9 +16,10 @@ quantifies the approximation; iterating an attracting composition
 samples its basin, a Fatou-Bieberbach style domain.
 
 Every elementary flow has one numeric body, the in-place `update`, on an
-(nvars, k) complex array of k points; `apply_array` runs it on a copy (one
-copy for a whole `AutoSeq`), and `apply` on a one-column batch, so single
-points and batches share their arithmetic.
+(nvars, k) complex array of k points; `AutoSeq.update` runs the factors'
+updates in turn on the same array.  `apply_array` is `update` on a copy
+(one copy for a whole `AutoSeq`), and `apply` on a one-column batch, so
+single points and batches share their arithmetic.
 `apply_exact` is the separate exact-Scalar regime for shears.  The
 Runge-Kutta oracle `integrate_flow` takes the same (nvars, k) arrays,
 with step control per point.
@@ -185,8 +186,9 @@ class AutoSeq:
 
     `elements[0]` is the outermost factor (applied last).  Every element
     carries its exact inverse; reversing and inverting the list yields
-    the exact inverse sequence.  `apply_array` evaluates a batch of
-    points, shape (nvars, k); `apply` is its one-column view.
+    the exact inverse sequence.  `update` maps a batch of points, shape
+    (nvars, k), in place through every factor; `apply_array` runs it on a
+    copy and `apply` on a one-column batch.
     """
 
     __slots__ = ("nvars", "elements")
@@ -214,13 +216,13 @@ class AutoSeq:
             raise ArityMismatch(f"point has {len(point)} coordinates, expected {self.nvars}")
         return _apply_point(self, point)
 
-    def apply_array(self, points: np.ndarray) -> np.ndarray:
-        if points.shape[0] != self.nvars:
+    def update(self, z: np.ndarray) -> None:
+        if z.shape[0] != self.nvars:
             raise ArityMismatch("point array has the wrong leading dimension")
-        out = points.copy()
         for element in reversed(self.elements):
-            element.update(out)
-        return out
+            element.update(z)
+
+    apply_array = _apply_array
 
     def apply_exact(self, point: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Exact evaluation; requires every element to be a shear with exact data."""
@@ -940,15 +942,25 @@ def basin_sample(
     the fixed point, Escaped once it leaves the escape_radius ball or
     overflows (recorded with a flag), and Undecided at max_iter.  The
     result is deterministic for a fixed grid and thresholds.  Each
-    iteration maps the still-active columns of `GridSpec.points` and
-    scatters the verdicts into the result arrays by fancy indexing.
+    iteration maps the still-active columns of `GridSpec.points` in place
+    and, when some of them finished, scatters their verdicts into the
+    result arrays by fancy indexing and drops them.  The attract radius
+    must be positive and finite, the escape radius positive (inf allowed).
     """
+    # NaN fails every comparison below
+    if not 0 < attract_radius < math.inf:
+        raise PreconditionError(
+            f"attract radius must be positive and finite, got {attract_radius}"
+        )
+    if not escape_radius > 0:
+        raise PreconditionError(f"escape radius must be positive, got {escape_radius}")
     fixed_point = tuple(complex(v) for v in fixed_point)
     if len(fixed_point) != seq.nvars:
         raise ArityMismatch("fixed point dimension disagrees with the sequence")
-    moved = seq.apply(fixed_point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = seq.apply(fixed_point)
     drift = math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(moved, fixed_point)))
-    if drift > _FIXED_POINT_TOL:
+    if not drift <= _FIXED_POINT_TOL:
         raise PreconditionError(
             f"supplied point moves by {drift:.3e} under the map; not a fixed point"
         )
@@ -973,18 +985,23 @@ def basin_sample(
         if active.size == 0:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            current = seq.apply_array(current)
-            dist = np.sqrt(np.sum(np.abs(current - fp) ** 2, axis=0))
-        # a non-finite point escapes whatever its dist reads
-        finite = np.all(np.isfinite(current), axis=0)
-        attracted = finite & (dist <= attract_radius)
-        done = attracted | ~finite | (dist >= escape_radius)
+            seq.update(current)
+            # squared in place; no (nvars, k) temporary outlives this block
+            dist = np.abs(current - fp)
+            np.square(dist, out=dist)
+            dist = np.sqrt(dist.sum(axis=0))
+        # a non-finite coordinate makes dist inf or NaN, which fails
+        # dist < escape_radius; so dist <= attract_radius (finite) means finite
+        attracted = dist <= attract_radius
+        done = attracted | ~(dist < escape_radius)
+        if not done.any():
+            continue
         finished = active.compress(done)
         codes[finished] = np.where(
             attracted.compress(done), _CLASS_CODES[ATTRACTED], _CLASS_CODES[ESCAPED]
         )
         iterations[finished] = it
-        overflowed[finished] = ~finite.compress(done)
+        overflowed[finished] = ~np.isfinite(current.compress(done, axis=1)).all(axis=0)
         # compress is several times faster than boolean-mask indexing here
         keep = ~done
         active, current = active.compress(keep), current.compress(keep, axis=1)

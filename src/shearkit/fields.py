@@ -390,13 +390,14 @@ def _as_exact_scalar(t) -> Scalar:
     raise RegimeMismatch("exact flows take exact time values")
 
 
-def flow_nilpotent(field: VectorField, t, cap: int = DEFAULT_NILPOTENCY_CAP) -> PolyMap:
+def flow_nilpotent(field: VectorField, t) -> PolyMap:
     """Exact time-t flow of a locally nilpotent field, with exact inverse.
 
     Component i is the finite series sum_k t^k/k! V^k(x_i); the inverse
-    is the same series at -t.
+    is the same series at -t.  The field must be nilpotent within
+    DEFAULT_NILPOTENCY_CAP applications.
     """
-    report = nilpotency_report(field, cap)
+    report = nilpotency_report(field)
     if not report.is_nilpotent():
         raise PreconditionError(
             f"flow_nilpotent needs a nilpotent field (verdict {report.verdict.value})"

@@ -8,6 +8,7 @@ iteration of `AutoSeq.apply`.
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from shearkit.dynamics import (
     GridSpec,
     attracting_shear_composition,
+    autoseq_from_json_dict,
     basin_sample,
     radial_contraction,
 )
@@ -137,12 +139,12 @@ def test_counts_tally_the_codes_in_a_fixed_key_order():
     assert all(counts.values())
 
 
-def _iterate_one(seq, z, max_iter, attract_radius=1e-6, escape_radius=1e6):
+def _iterate_one(seq, z, max_iter, attract_radius=1e-6, escape_radius=1e6, fixed_point=0):
     """(class, iterations, overflowed) of one point by direct iteration."""
     for it in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             z = seq.apply(z)
-            dist = float(np.sqrt(np.sum(np.abs(np.array(z)) ** 2)))
+            dist = float(np.sqrt(np.sum(np.abs(np.array(z) - np.array(fixed_point)) ** 2)))
         if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in z):
             return "escaped", it, True
         if dist <= attract_radius:
@@ -186,3 +188,79 @@ def test_result_arrays_have_grid_shape():
         assert array.shape == (3, 5)
     assert result.codes.dtype == np.uint8
     assert not result.overflowed.any()
+
+
+def _shifts(fixed, sign):
+    """Unit shears adding sign * p coordinate by coordinate, as JSON elements."""
+    return [
+        {"kind": "shear", "axis": i + 1, "coeff": "1", "time": [sign * p.real, sign * p.imag]}
+        for i, p in enumerate(fixed)
+    ]
+
+
+@st.composite
+def maps_with_fixed_points(draw):
+    """(map, fixed point): random overshear and diagonal factors, which fix the
+    origin, conjugated by the translation to the fixed point."""
+    nvars = draw(st.integers(1, 3))
+    part = st.floats(-1, 1, allow_subnormal=False)
+    fixed = draw(st.just((0j,) * nvars) | st.tuples(*[st.builds(complex, part, part)] * nvars))
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            axis = draw(st.integers(1, nvars))
+            others = [f"x{k}" for k in range(1, nvars + 1) if k != axis]
+            factors = draw(st.lists(st.sampled_from(others), max_size=2)) if others else []
+            steps.append({"kind": "overshear", "axis": axis, "coeff": "*".join(factors) or "1",
+                          "time": [draw(part), draw(part)]})
+        else:
+            modulus, angle = draw(st.floats(0.2, 1.2)), draw(st.floats(-math.pi, math.pi))
+            weights = draw(st.lists(st.integers(-1, 2), min_size=nvars, max_size=nvars))
+            steps.append({"kind": "diagonal", "weights": weights,
+                          "factor": [modulus * math.cos(angle), modulus * math.sin(angle)]})
+    # z_i + (-p_i) is 0 exactly at z = p, so p is fixed bit for bit
+    application_order = _shifts(fixed, -1) + steps + _shifts(fixed, 1)
+    doc = {"nvars": nvars, "elements": application_order[::-1]}
+    return autoseq_from_json_dict(doc), fixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    maps_with_fixed_points(),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.tuples(small, small),
+    st.tuples(small, small),
+    st.integers(1, 25),
+    st.floats(1e-9, 1.0),
+    st.floats(1e-3, 1e8) | st.just(math.inf),
+    st.data(),
+)
+def test_basin_matches_direct_iteration(
+    case, nu, nv, u_range, v_range, max_iter, attract_radius, escape_radius, data
+):
+    seq, fixed = case
+    direction = st.tuples(*[st.builds(complex, small, small)] * seq.nvars)
+    grid = GridSpec(fixed, data.draw(direction), data.draw(direction), nu, nv, u_range, v_range)
+    points = grid.points()
+    before = points.tobytes()
+    with np.errstate(all="ignore"):
+        image = seq.apply_array(points)
+        assert points.tobytes() == before
+        seq.update(points)
+    assert points.tobytes() == image.tobytes()
+    with warnings.catch_warnings():
+        # the random maps need not attract at the fixed point
+        warnings.simplefilter("ignore", UserWarning)
+        result = basin_sample(
+            seq, fixed, grid, max_iter=max_iter,
+            attract_radius=attract_radius, escape_radius=escape_radius,
+        )
+    for row in range(nv):
+        for col in range(nu):
+            label, iters, overflowed = _iterate_one(
+                seq, grid.point(row, col), max_iter, attract_radius, escape_radius, fixed
+            )
+            assert result.classes[row][col] == label
+            assert result.iterations[row][col] == iters
+            assert bool(result.overflowed[row][col]) is overflowed

@@ -388,6 +388,29 @@ class TestBasin:
         with pytest.raises(PreconditionError):
             basin_sample(seq, (0, 0), grid)
 
+    @pytest.mark.parametrize("fixed_point", [
+        (math.nan, 0), (complex(0, math.nan), 0), (math.inf, 0), (0, complex(math.inf, 0)),
+    ])
+    def test_non_finite_fixed_point_rejected(self, fixed_point):
+        # inf - inf makes the drift NaN, which the spectral estimate cannot take
+        grid = GridSpec.real_plane(2, 2, 2, (-1, 1), (-1, 1))
+        with pytest.raises(PreconditionError, match="not a fixed point"):
+            basin_sample(radial_contraction(2), fixed_point, grid)
+
+    @pytest.mark.parametrize("keywords, message", [
+        ({"attract_radius": math.nan}, "attract radius"),
+        ({"attract_radius": 0.0}, "attract radius"),
+        ({"attract_radius": -1e-6}, "attract radius"),
+        ({"attract_radius": math.inf}, "attract radius"),
+        ({"escape_radius": math.nan}, "escape radius"),
+        ({"escape_radius": 0.0}, "escape radius"),
+        ({"escape_radius": -1e6}, "escape radius"),
+    ])
+    def test_bad_radius_rejected(self, keywords, message):
+        grid = GridSpec.real_plane(2, 2, 2, (-1, 1), (-1, 1))
+        with pytest.raises(PreconditionError, match=message):
+            basin_sample(radial_contraction(2), (0, 0), grid, **keywords)
+
     def test_non_attracting_fixed_point_warns(self):
         seq = AutoSeq(2, (DiagonalFlow((1, 1), 2.0),))
         grid = GridSpec.real_plane(2, 4, 4, (-1, 1), (-1, 1))
