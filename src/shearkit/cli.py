@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_NOT_ESTABLISHED = 1
 EXIT_USAGE = 2
 
+# trials x n!, the determinant terms one sl-demo run evaluates over its sample;
+# the default -n 8 with 50 trials is 2,016,000
+SL_DEMO_MAX_WORK = 4_000_000
+
 SL_DEMO_NOTE = (
     "verified by exact evaluation at sampled variety points; "
     "this is randomized identity-testing evidence, not a proof"
@@ -202,6 +206,13 @@ def _run_sl_demo(args) -> int:
     _require_count("--trials", args.trials, limit=MAX_BASIS_SIZE)
     n = args.n
     d1, d2 = density.sl_pair_derivations(n)
+    # every sampled point evaluates images of the n!-term determinant
+    work = args.trials * density.determinant_terms(n)
+    if work > SL_DEMO_MAX_WORK:
+        raise ShearKitError(
+            f"--trials {args.trials} at n = {n} is {work} determinant-term evaluations "
+            f"(trials x {n}!), more than {SL_DEMO_MAX_WORK}"
+        )
     det = density.determinant_poly(n)
     # sample_sl_points solves each point onto det = 1 exactly, so no premise is re-checked
     points = density.sample_sl_points(n, args.trials, args.seed)

@@ -63,6 +63,7 @@ __all__ = [
     "OrbitSpanReport",
     "orbit_span_closure",
     "isotropy_update",
+    "determinant_terms",
     "determinant_poly",
     "matrix_variable",
     "sl_pair_derivations",
@@ -990,13 +991,19 @@ def _parity(perm: Sequence[int]) -> int:
     return swaps & 1
 
 
+def determinant_terms(n: int) -> int:
+    """n!, the n x n determinant's term count; refused past MAX_BASIS_SIZE."""
+    terms = math.factorial(n)
+    if terms > MAX_BASIS_SIZE:
+        raise PreconditionError(
+            f"the {n}x{n} determinant has {terms} terms, more than {MAX_BASIS_SIZE}"
+        )
+    return terms
+
+
 def determinant_poly(n: int) -> Poly:
     """Determinant as a polynomial on the n^2 matrix entries."""
-    if math.factorial(n) > MAX_BASIS_SIZE:
-        raise PreconditionError(
-            f"the {n}x{n} determinant has {math.factorial(n)} terms, "
-            f"more than {MAX_BASIS_SIZE}"
-        )
+    determinant_terms(n)
     nvars = n * n
     signs = (ONE, -ONE)
     terms: dict[tuple[int, ...], Scalar] = {}

@@ -22,7 +22,10 @@ updates in turn on the same array.  `apply_array` is `update` on a copy
 single points and batches share their arithmetic.
 `apply_exact` is the separate exact-Scalar regime for shears.  The
 Runge-Kutta oracle `integrate_flow` takes the same (nvars, k) arrays,
-with step control per point.
+with step control per point: it runs two step counts, L and 2L, side by
+side in one loop per round, and every column's arithmetic is that of
+its run alone, so each point's endpoint is bit for bit the one it would
+get by itself, one step count at a time.
 """
 
 from __future__ import annotations
@@ -539,7 +542,7 @@ _ORACLE_TOL = 1e-10
 
 
 def integrate_flow(
-    field_at: Callable[[float], VectorField],
+    field_at: Callable[[float], VectorField] | VectorField,
     start: np.ndarray,
     total_time: float,
     max_doublings: int = 16,
@@ -547,47 +550,98 @@ def integrate_flow(
     """Classical fixed-step fourth-order integration with Richardson control.
 
     `start` is an (nvars, k) complex array of k start points, and the
-    value is the (nvars, k) array of their endpoints.  Every point runs
-    at 32 steps first; each doubling reruns, from their start points,
+    value is the (nvars, k) array of their endpoints.  `field_at` is a
+    `VectorField`, or a callable giving the field at time t.  Every point
+    runs at 32 steps first; each doubling reruns, from their start points,
     only the points still refining, and a point keeps its finer estimate
     as soon as two successive ones agree within _ORACLE_TOL.  A point
     whose estimate is non-finite (a pole; NaN never agrees) keeps it at
-    once, and one that never agrees keeps its last estimate.  So each
-    point gets the step schedule and the value it would get alone.
-    Independent of the composition pipeline.
+    once, and one that never agrees keeps its last estimate.
+
+    The step counts run in rounds of two, L and 2L, side by side in one
+    loop: the round's columns are the still-refining points at 2L, then
+    the same points at L, so after L steps the loop goes on with the 2L
+    half alone.  The rules above then settle the two counts in order, so
+    a point whose L estimate is final has spent its 2L steps for nothing.
+    Step sizes are per-column complex arrays holding the values a scalar
+    step is cast to, a `VectorField` is evaluated once per stage over
+    every column, and a callable once per step count at that count's own
+    time.  So each column does the arithmetic of its run alone, and each
+    point's endpoint is bit for bit the one it would get alone, one step
+    count at a time.  Independent of the composition pipeline.
     """
     starts = np.array(start, dtype=complex)
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        # a constant component evaluates to a scalar, which broadcasts
-        for i, value in enumerate(field_at(t).eval_complex(z)):
-            out[i] = value
-        return out
+    # a constant component evaluates to a scalar, which broadcasts
+    if isinstance(field_at, VectorField):
 
-    def run(steps: int, z: np.ndarray) -> np.ndarray:
-        h = total_time / steps
-        t = 0.0
-        for _ in range(steps):
-            k1 = rhs(t, z)
-            k2 = rhs(t + h / 2, z + h / 2 * k1)
-            k3 = rhs(t + h / 2, z + h / 2 * k2)
-            k4 = rhs(t + h, z + h * k3)
-            z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        return z
+        def rhs(z: np.ndarray, _times: list[float]) -> np.ndarray:
+            out = np.empty_like(z)
+            for i, value in enumerate(field_at.eval_complex(z)):
+                out[i] = value
+            return out
 
-    steps, estimate = 32, run(32, starts)
+    else:
+
+        def rhs(z: np.ndarray, times: list[float]) -> np.ndarray:
+            """The field at each step count's own time on that count's columns."""
+            out = np.empty_like(z)
+            width = z.shape[1] // len(times)
+            for g, t in enumerate(times):
+                cols = slice(g * width, (g + 1) * width)
+                for i, value in enumerate(field_at(t).eval_complex(z[:, cols])):
+                    out[i, cols] = value
+            return out
+
+    def run(counts: list[int], z0: np.ndarray) -> list[np.ndarray]:
+        """Endpoints of z0's columns at each step count of `counts`, coarsest first."""
+        width = z0.shape[1]
+        hs = [total_time / steps for steps in counts]
+
+        def per_column(values: list[float]) -> np.ndarray:
+            row = np.repeat(np.array(values, dtype=complex), width)
+            return np.tile(row, (z0.shape[0], 1))
+
+        z = np.tile(z0, len(counts))
+        h, half, sixth = (per_column([x / d for x in hs]) for d in (1, 2, 6))
+        times = [0.0] * len(counts)
+        ends = []
+        for i in range(counts[0]):
+            if i == counts[-1]:
+                # the coarsest count has all its steps; go on without its columns
+                ends.append(z[:, -width:])
+                z, h, half, sixth = (
+                    np.ascontiguousarray(a[:, :-width]) for a in (z, h, half, sixth)
+                )
+                del hs[-1], times[-1]
+            k1 = rhs(z, times)
+            mids = [t + x / 2 for t, x in zip(times, hs)]
+            k2 = rhs(z + half * k1, mids)
+            k3 = rhs(z + half * k2, mids)
+            times = [t + x for t, x in zip(times, hs)]
+            k4 = rhs(z + h * k3, times)
+            z = z + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        return ends + [z]
+
+    last = max(max_doublings, 0)
+    # NaN, which no estimate agrees with, stands in before the first one
+    estimate = np.full_like(starts, np.nan)
     active = np.arange(starts.shape[1])
-    for _ in range(max_doublings):
-        active = active[np.all(np.isfinite(estimate[:, active]), axis=0)]
-        if not active.size:
-            break
-        steps *= 2
-        finer = run(steps, starts[:, active])
-        agreed = np.max(np.abs(finer - estimate[:, active]), axis=0) < _ORACLE_TOL
-        estimate[:, active] = finer
-        active = active[~agreed]
+    level = 0
+    while active.size and level <= last:
+        counts = [64 << level, 32 << level] if level < last else [32 << level]
+        ends = run(counts, starts[:, active])
+        # each active point's column in the round's endpoint arrays
+        rows = np.arange(active.size)
+        for finer in ends:
+            if not active.size:
+                break
+            finer = finer[:, rows]
+            refining = ~(np.max(np.abs(finer - estimate[:, active]), axis=0) < _ORACLE_TOL)
+            refining &= np.all(np.isfinite(finer), axis=0)
+            estimate[:, active] = finer
+            active, rows = active[refining], rows[refining]
+            level += 1
     return estimate
 
 
@@ -734,7 +788,7 @@ def approximate_isotopy(
             # so the oracle never steps across a discontinuity
             truths = batch
             for slice_field in table:
-                truths = integrate_flow(lambda _t, f=slice_field: f, truths, dt_slice)
+                truths = integrate_flow(slice_field, truths, dt_slice)
         else:
             truths = integrate_flow(field_fn, batch, total_time)
     report = _report_against(build, batch, truths, substep_counts, radius, seed)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import shearkit
-from shearkit.cli import EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, build_parser, run
+from shearkit.cli import (
+    EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, SL_DEMO_MAX_WORK, build_parser, run,
+)
 from shearkit.errors import PreconditionError
 
 
@@ -380,6 +383,8 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
         (["closure", "--shear-family", "3", "-D", "3", "--monomial-targets", "-1"], None),
         # a sample past the monomial-basis budget, which would run until killed
         (["sl-demo", "-n", "2", "--trials", str(10**20)], None),
+        # trials x n! past the sl-demo work budget, which would run for a minute or more
+        (["sl-demo", "-n", "8", "--trials", "100000"], None),
     ],
     ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
          "approx-time-nan", "approx-values-overflow", "approx-substeps-repeated",
@@ -388,7 +393,7 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
          "map-factor-inf", "map-time-nan", "basin-max-iter-huge", "approx-substeps-huge",
          "basin-nu-huge", "approx-steps-huge", "approx-points-huge",
          "approx-isotopy-steps-mismatch", "closure-shear-family-negative",
-         "closure-monomial-targets-negative", "sl-demo-trials-huge"],
+         "closure-monomial-targets-negative", "sl-demo-trials-huge", "sl-demo-work-huge"],
 )
 def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv, document):
     # json.dumps writes NaN and Infinity, which json.loads reads back as floats
@@ -447,6 +452,26 @@ def test_sl_demo_refuses_more_permutations_than_the_budget(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "362880 terms" in lines[0]
     assert peak < 2_000_000
+
+
+def test_sl_demo_refuses_more_work_than_the_budget(capsys):
+    # 100,000 trials x 8! = 40,320 terms, refused before the determinant is built
+    tracemalloc.start()
+    try:
+        code = run_cli("sl-demo", "-n", "8", "--trials", "100000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "4032000000" in lines[0] and str(SL_DEMO_MAX_WORK) in lines[0]
+    assert peak < 2_000_000
+
+
+def test_sl_demo_default_trials_at_n8_fit_the_work_budget():
+    trials = build_parser().parse_args(["sl-demo", "-n", "8"]).trials
+    assert trials * math.factorial(8) <= SL_DEMO_MAX_WORK
 
 
 @pytest.mark.parametrize(

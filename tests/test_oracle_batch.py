@@ -133,8 +133,10 @@ def test_a_pole_column_freezes_without_slowing_the_others():
     with np.errstate(over="ignore", invalid="ignore"):
         ends = integrate_flow(field_at, mixed, 0.5)
     assert calls <= calls_alone
-    # the first 32 steps see all four columns, every doubling at most the finite three
-    assert widths[: 32 * 4] == [4] * (32 * 4) and max(widths[32 * 4:]) <= 3
+    # the first round (32 and 64 steps side by side, one evaluation per step count and
+    # stage) sees all four columns, every later round at most the finite three
+    first_round = (32 + 64) * 4
+    assert widths[:first_round] == [4] * first_round and max(widths[first_round:]) <= 3
     assert not np.all(np.isfinite(ends[:, 1]))
     for got, start, together in zip(np.delete(ends, 1, axis=1).T, finite, alone.T):
         _assert_same_column(got, _solo_flow(lambda _t: field, start, 0.5))
@@ -177,3 +179,102 @@ def test_one_oracle_call_per_slice(monkeypatch, slices):
     assert (report.step_counts, report.sample_count, report.seed) == (
         expected.step_counts, expected.sample_count, expected.seed
     )
+
+
+def _sequential_batch(field_at, start, total_time, max_doublings=16, tol=1e-10):
+    """Reference model: the batched oracle that runs one step count at a time.
+
+    Each doubling reruns the still-refining columns from their start
+    points at the next step count, with scalar step sizes.
+    """
+    starts = np.array(start, dtype=complex)
+
+    def rhs(t, z):
+        out = np.empty_like(z)
+        for i, value in enumerate(field_at(t).eval_complex(z)):
+            out[i] = value
+        return out
+
+    def run(steps, z):
+        h = total_time / steps
+        t = 0.0
+        for _ in range(steps):
+            k1 = rhs(t, z)
+            k2 = rhs(t + h / 2, z + h / 2 * k1)
+            k3 = rhs(t + h / 2, z + h / 2 * k2)
+            k4 = rhs(t + h, z + h * k3)
+            z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+        return z
+
+    steps, estimate = 32, run(32, starts)
+    active = np.arange(starts.shape[1])
+    for _ in range(max_doublings):
+        active = active[np.all(np.isfinite(estimate[:, active]), axis=0)]
+        if not active.size:
+            break
+        steps *= 2
+        finer = run(steps, starts[:, active])
+        agreed = np.max(np.abs(finer - estimate[:, active]), axis=0) < tol
+        estimate[:, active] = finer
+        active = active[~agreed]
+    return estimate
+
+
+def _bits(values):
+    """The bytes of a complex array, with every NaN part made one NaN.
+
+    IEEE 754 leaves the sign and payload of a NaN result open, and
+    numpy's vector lanes and scalar tails set them differently by
+    column position; every other bit must match.
+    """
+    parts = np.array(values, dtype=complex).view(float).copy()
+    parts[np.isnan(parts)] = np.nan
+    return parts.tobytes()
+
+
+_RICCATI = parse_vector_field("[0; x2^2]", 2)
+_PAIR = parse_vector_field("[x1*x2; x2^2]", 2)
+
+
+# changes at t = 1/8 and 1/4; x2' = x2^2 throughout, so x2 = 3 still meets its pole at 1/3
+_SWITCHING = [parse_vector_field(text, 2) for text in ("[x1*x2; x2^2]", "[x2; x2^2]", "[1; x2^2]")]
+
+
+def _switching(t):
+    return _SWITCHING[min(int(t * 8), 2)]
+
+
+@pytest.mark.parametrize("max_doublings", [0, 1, 2, 5])
+@pytest.mark.parametrize(
+    "field_at, reference",
+    [
+        (_PAIR, lambda _t: _PAIR),
+        (lambda _t: _RICCATI, lambda _t: _RICCATI),
+        (_switching, _switching),
+    ],
+    ids=["vector-field", "constant-callable", "time-dependent-callable"],
+)
+def test_bits_equal_the_sequential_batch(field_at, reference, max_doublings):
+    rng = np.random.default_rng(7)
+    batch = 0.6 * (rng.standard_normal((2, 12)) + 1j * rng.standard_normal((2, 12)))
+    # x2' = x2^2 from x2 = c has its pole at t = 1/c: before 0.45 for c = 3, 2.32 and 2.27,
+    # whose estimates turn non-finite at 32, 64 and 128 steps; just after it for c = 2.2,
+    # which takes more doublings than any cap here; the origin; and four columns whose
+    # two estimates agree first at 128, 256, 512 and 1024 steps
+    columns = [(0, 3), (0.1, 2.32), (0.2j, 2.27), (0.1, 2.2), (0, 0),
+               (0.1, 0.7), (0.1, 1.0), (0.1, 1.3), (0.1, 1.5)]
+    batch[:, 3:] = np.array(columns, dtype=complex).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a total time that is not a power of two, so h/6 rounds
+        got = integrate_flow(field_at, batch, 0.45, max_doublings)
+        want = _sequential_batch(reference, batch, 0.45, max_doublings)
+    assert not np.all(np.isfinite(want[:, 3]))
+    assert _bits(got) == _bits(want)
+
+
+def test_a_one_slice_table_reports_as_its_constant_callable():
+    field = parse_vector_field("[x1*x2; x2^2]", 2)
+    from_table = approximate_isotopy([field], 0.5, 1, [4, 8, 16], 0.5, 10)
+    from_callable = approximate_isotopy(lambda _t: field, 0.5, 1, [4, 8, 16], 0.5, 10)
+    assert from_table[1] == from_callable[1]
