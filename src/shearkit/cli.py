@@ -31,9 +31,13 @@ EXIT_OK = 0
 EXIT_NOT_ESTABLISHED = 1
 EXIT_USAGE = 2
 
-# trials x n!, the determinant terms one sl-demo run evaluates over its sample;
-# the default -n 8 with 50 trials is 2,016,000
+# sl-demo refuses trials x (n! + SL_DEMO_POINT_WORK) past SL_DEMO_MAX_WORK.  The
+# default -n 8 with 50 trials is 2,041,000 and runs in 0.7 s on a 2-CPU Xeon, so a
+# unit is about 0.3 us there; drawing and solving one point exactly takes about 500
+# units at n = 4 (0.17 ms), where n! alone would undercount the run.  The largest
+# run the budget accepts takes 0.4 to 1.9 s for n = 2 to 8 there
 SL_DEMO_MAX_WORK = 4_000_000
+SL_DEMO_POINT_WORK = 500
 
 SL_DEMO_NOTE = (
     "verified by exact evaluation at sampled variety points; "
@@ -206,12 +210,11 @@ def _run_sl_demo(args) -> int:
     _require_count("--trials", args.trials, limit=MAX_BASIS_SIZE)
     n = args.n
     d1, d2 = density.sl_pair_derivations(n)
-    # every sampled point evaluates images of the n!-term determinant
-    work = args.trials * density.determinant_terms(n)
+    work = args.trials * (density.determinant_terms(n) + SL_DEMO_POINT_WORK)
     if work > SL_DEMO_MAX_WORK:
         raise ShearKitError(
-            f"--trials {args.trials} at n = {n} is {work} determinant-term evaluations "
-            f"(trials x {n}!), more than {SL_DEMO_MAX_WORK}"
+            f"--trials {args.trials} at n = {n} is {work} units of work "
+            f"(trials x ({n}! + {SL_DEMO_POINT_WORK})), more than {SL_DEMO_MAX_WORK}"
         )
     det = density.determinant_poly(n)
     # sample_sl_points solves each point onto det = 1 exactly, so no premise is re-checked

@@ -22,10 +22,11 @@ updates in turn on the same array.  `apply_array` is `update` on a copy
 single points and batches share their arithmetic.
 `apply_exact` is the separate exact-Scalar regime for shears.  The
 Runge-Kutta oracle `integrate_flow` takes the same (nvars, k) arrays,
-with step control per point: it runs two step counts, L and 2L, side by
-side in one loop per round, and every column's arithmetic is that of
-its run alone, so each point's endpoint is bit for bit the one it would
-get by itself, one step count at a time.
+with step control per point: a round runs one step count, or two, L and
+2L, side by side in one loop when the last differences show that L will
+not settle every point.  Every column's arithmetic is that of its run
+alone, so each point's endpoint is bit for bit the one it would get by
+itself, one step count at a time.
 """
 
 from __future__ import annotations
@@ -542,7 +543,7 @@ _ORACLE_TOL = 1e-10
 
 
 def integrate_flow(
-    field_at: Callable[[float], VectorField] | VectorField,
+    field_at: Callable[[float], VectorField],
     start: np.ndarray,
     total_time: float,
     max_doublings: int = 16,
@@ -550,48 +551,47 @@ def integrate_flow(
     """Classical fixed-step fourth-order integration with Richardson control.
 
     `start` is an (nvars, k) complex array of k start points, and the
-    value is the (nvars, k) array of their endpoints.  `field_at` is a
-    `VectorField`, or a callable giving the field at time t.  Every point
-    runs at 32 steps first; each doubling reruns, from their start points,
+    value is the (nvars, k) array of their endpoints.  Every point runs
+    at 32 steps first; each doubling reruns, from their start points,
     only the points still refining, and a point keeps its finer estimate
     as soon as two successive ones agree within _ORACLE_TOL.  A point
     whose estimate is non-finite (a pole; NaN never agrees) keeps it at
     once, and one that never agrees keeps its last estimate.
 
-    The step counts run in rounds of two, L and 2L, side by side in one
+    A round runs one step count L, or two, L and 2L, side by side in one
     loop: the round's columns are the still-refining points at 2L, then
     the same points at L, so after L steps the loop goes on with the 2L
-    half alone.  The rules above then settle the two counts in order, so
-    a point whose L estimate is final has spent its 2L steps for nothing.
+    half alone.  The rules above then settle the counts in order.  Two
+    counts cost 2L steps against L + 2L one at a time, but 2L against L
+    when every point settles at L, so a round pairs only when some
+    point's last difference, shrunk 16-fold as a fourth-order method's
+    does per doubling, still misses _ORACLE_TOL.  The first round pairs
+    32 with 64 unless max_doublings is 0, since no point settles at 32.
     Step sizes are per-column complex arrays holding the values a scalar
-    step is cast to, a `VectorField` is evaluated once per stage over
-    every column, and a callable once per step count at that count's own
-    time.  So each column does the arithmetic of its run alone, and each
-    point's endpoint is bit for bit the one it would get alone, one step
-    count at a time.  Independent of the composition pipeline.
+    step is cast to, and `field_at` is evaluated at each count's own
+    time, once over every column when the counts get the same field
+    object.  So each column does the arithmetic of its run alone, and
+    each point's endpoint is bit for bit the one it would get alone, one
+    step count at a time.  Independent of the composition pipeline.
     """
     starts = np.array(start, dtype=complex)
 
-    # a constant component evaluates to a scalar, which broadcasts
-    if isinstance(field_at, VectorField):
+    def fill(field: VectorField, z: np.ndarray, out: np.ndarray) -> None:
+        # a constant component evaluates to a scalar, which broadcasts
+        for i, value in enumerate(field.eval_complex(z)):
+            out[i] = value
 
-        def rhs(z: np.ndarray, _times: list[float]) -> np.ndarray:
-            out = np.empty_like(z)
-            for i, value in enumerate(field_at.eval_complex(z)):
-                out[i] = value
-            return out
-
-    else:
-
-        def rhs(z: np.ndarray, times: list[float]) -> np.ndarray:
-            """The field at each step count's own time on that count's columns."""
-            out = np.empty_like(z)
-            width = z.shape[1] // len(times)
-            for g, t in enumerate(times):
-                cols = slice(g * width, (g + 1) * width)
-                for i, value in enumerate(field_at(t).eval_complex(z[:, cols])):
-                    out[i, cols] = value
-            return out
+    def rhs(z: np.ndarray, times: list[float]) -> np.ndarray:
+        """The field at each step count's own time on that count's columns."""
+        out = np.empty_like(z)
+        first = field_at(times[0])
+        # a round has one or two counts; one field object for both is evaluated once
+        if len(times) == 1 or (second := field_at(times[1])) is first:
+            fill(first, z, out)
+        else:
+            for field, zs, outs in zip((first, second), np.hsplit(z, 2), np.hsplit(out, 2)):
+                fill(field, zs, outs)
+        return out
 
     def run(counts: list[int], z0: np.ndarray) -> list[np.ndarray]:
         """Endpoints of z0's columns at each step count of `counts`, coarsest first."""
@@ -626,10 +626,13 @@ def integrate_flow(
     last = max(max_doublings, 0)
     # NaN, which no estimate agrees with, stands in before the first one
     estimate = np.full_like(starts, np.nan)
+    # each point's difference between its last two estimates
+    gap = np.full(starts.shape[1], np.inf)
     active = np.arange(starts.shape[1])
     level = 0
     while active.size and level <= last:
-        counts = [64 << level, 32 << level] if level < last else [32 << level]
+        pair = level < last and not np.all(gap[active] / 16 < _ORACLE_TOL)
+        counts = [64 << level, 32 << level] if pair else [32 << level]
         ends = run(counts, starts[:, active])
         # each active point's column in the round's endpoint arrays
         rows = np.arange(active.size)
@@ -637,8 +640,8 @@ def integrate_flow(
             if not active.size:
                 break
             finer = finer[:, rows]
-            refining = ~(np.max(np.abs(finer - estimate[:, active]), axis=0) < _ORACLE_TOL)
-            refining &= np.all(np.isfinite(finer), axis=0)
+            gap[active] = np.max(np.abs(finer - estimate[:, active]), axis=0)
+            refining = ~(gap[active] < _ORACLE_TOL) & np.all(np.isfinite(finer), axis=0)
             estimate[:, active] = finer
             active, rows = active[refining], rows[refining]
             level += 1
@@ -788,7 +791,7 @@ def approximate_isotopy(
             # so the oracle never steps across a discontinuity
             truths = batch
             for slice_field in table:
-                truths = integrate_flow(slice_field, truths, dt_slice)
+                truths = integrate_flow(lambda _t, f=slice_field: f, truths, dt_slice)
         else:
             truths = integrate_flow(field_fn, batch, total_time)
     report = _report_against(build, batch, truths, substep_counts, radius, seed)

@@ -10,7 +10,8 @@ import pytest
 
 import shearkit
 from shearkit.cli import (
-    EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, SL_DEMO_MAX_WORK, build_parser, run,
+    EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, SL_DEMO_MAX_WORK, SL_DEMO_POINT_WORK,
+    build_parser, run,
 )
 from shearkit.errors import PreconditionError
 
@@ -383,8 +384,10 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
         (["closure", "--shear-family", "3", "-D", "3", "--monomial-targets", "-1"], None),
         # a sample past the monomial-basis budget, which would run until killed
         (["sl-demo", "-n", "2", "--trials", str(10**20)], None),
-        # trials x n! past the sl-demo work budget, which would run for a minute or more
+        # trials x (n! + cli.SL_DEMO_POINT_WORK) past the sl-demo work budget, which would
+        # run for a minute or more at n = 8 and for 16 s at n = 4
         (["sl-demo", "-n", "8", "--trials", "100000"], None),
+        (["sl-demo", "-n", "4", "--trials", "100000"], None),
     ],
     ids=["approx-radius-nan", "approx-radius-zero", "approx-radius-negative", "approx-time-inf",
          "approx-time-nan", "approx-values-overflow", "approx-substeps-repeated",
@@ -393,7 +396,8 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
          "map-factor-inf", "map-time-nan", "basin-max-iter-huge", "approx-substeps-huge",
          "basin-nu-huge", "approx-steps-huge", "approx-points-huge",
          "approx-isotopy-steps-mismatch", "closure-shear-family-negative",
-         "closure-monomial-targets-negative", "sl-demo-trials-huge", "sl-demo-work-huge"],
+         "closure-monomial-targets-negative", "sl-demo-trials-huge", "sl-demo-work-huge",
+         "sl-demo-work-huge-small-n"],
 )
 def test_non_finite_or_non_positive_input_is_usage_error(tmp_path, capsys, argv, document):
     # json.dumps writes NaN and Infinity, which json.loads reads back as floats
@@ -455,7 +459,7 @@ def test_sl_demo_refuses_more_permutations_than_the_budget(capsys):
 
 
 def test_sl_demo_refuses_more_work_than_the_budget(capsys):
-    # 100,000 trials x 8! = 40,320 terms, refused before the determinant is built
+    # 100,000 trials x (8! + 500), refused before the determinant is built
     tracemalloc.start()
     try:
         code = run_cli("sl-demo", "-n", "8", "--trials", "100000")
@@ -465,13 +469,13 @@ def test_sl_demo_refuses_more_work_than_the_budget(capsys):
     assert code == EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "4032000000" in lines[0] and str(SL_DEMO_MAX_WORK) in lines[0]
+    assert "4082000000" in lines[0] and str(SL_DEMO_MAX_WORK) in lines[0]
     assert peak < 2_000_000
 
 
 def test_sl_demo_default_trials_at_n8_fit_the_work_budget():
     trials = build_parser().parse_args(["sl-demo", "-n", "8"]).trials
-    assert trials * math.factorial(8) <= SL_DEMO_MAX_WORK
+    assert trials * (math.factorial(8) + SL_DEMO_POINT_WORK) <= SL_DEMO_MAX_WORK
 
 
 @pytest.mark.parametrize(

@@ -245,17 +245,20 @@ def _switching(t):
     return _SWITCHING[min(int(t * 8), 2)]
 
 
+class _Fresh:
+    """A field that is a new object at every call, so no two step counts share one."""
+
+    def __init__(self, field):
+        self.eval_complex = field.eval_complex
+
+
 @pytest.mark.parametrize("max_doublings", [0, 1, 2, 5])
 @pytest.mark.parametrize(
-    "field_at, reference",
-    [
-        (_PAIR, lambda _t: _PAIR),
-        (lambda _t: _RICCATI, lambda _t: _RICCATI),
-        (_switching, _switching),
-    ],
-    ids=["vector-field", "constant-callable", "time-dependent-callable"],
+    "field_at",
+    [lambda _t: _PAIR, lambda _t: _Fresh(_RICCATI), _switching],
+    ids=["one-object-callable", "fresh-object-callable", "time-dependent-callable"],
 )
-def test_bits_equal_the_sequential_batch(field_at, reference, max_doublings):
+def test_bits_equal_the_sequential_batch(field_at, max_doublings):
     rng = np.random.default_rng(7)
     batch = 0.6 * (rng.standard_normal((2, 12)) + 1j * rng.standard_normal((2, 12)))
     # x2' = x2^2 from x2 = c has its pole at t = 1/c: before 0.45 for c = 3, 2.32 and 2.27,
@@ -268,8 +271,40 @@ def test_bits_equal_the_sequential_batch(field_at, reference, max_doublings):
     with np.errstate(over="ignore", invalid="ignore"):
         # a total time that is not a power of two, so h/6 rounds
         got = integrate_flow(field_at, batch, 0.45, max_doublings)
-        want = _sequential_batch(reference, batch, 0.45, max_doublings)
+        want = _sequential_batch(field_at, batch, 0.45, max_doublings)
     assert not np.all(np.isfinite(want[:, 3]))
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "column, settles_at, steps",
+    [
+        ((0, 0), 64, 64),
+        ((0.1, 0.7), 128, 64 + 128),
+        ((0.1, 1.0), 256, 64 + 256),
+        ((0.1, 1.3), 512, 64 + 256 + 512),
+        ((0.1, 1.5), 1024, 64 + 256 + 1024),
+    ],
+)
+def test_rounds_take_fewer_steps_than_one_count_at_a_time(column, settles_at, steps):
+    # a point whose estimates agree first at `settles_at` steps runs 32, 64, ..., settles_at
+    # one count at a time; a round pairs two counts only when the last difference, shrunk
+    # 16-fold, misses the tolerance, so an even settling level costs no wasted 2L half
+    evals = 0
+
+    class Counting:
+        def eval_complex(self, z):
+            nonlocal evals
+            evals += 1
+            return _RICCATI.eval_complex(z)
+
+    counting = Counting()
+    start = np.array([column], dtype=complex).T
+    got = integrate_flow(lambda _t: counting, start, 0.45)
+    got_steps, evals = evals // 4, 0
+    want = _sequential_batch(lambda _t: counting, start, 0.45)
+    assert evals // 4 == 2 * settles_at - 32
+    assert got_steps == steps < evals // 4
     assert _bits(got) == _bits(want)
 
 
