@@ -31,6 +31,7 @@ from .errors import ArityMismatch, PreconditionError, ShearKitError
 from .fields import (
     NilpotencyVerdict,
     VectorField,
+    _derivative_terms,
     kernel_basis,
     nilpotency_report,
     parse_vector_field,
@@ -221,12 +222,12 @@ def check_compatibility(
     """One-sided compatibility verdict for a pair of derivations.
 
     d1 must be locally nilpotent; d2 locally nilpotent or diagonal.
-    Condition (i) checks whether the pairwise products of the truncated
-    kernels span every polynomial of degree <= degree (full span), or
-    failing that, whether the principal ideal of a supplied candidate h
-    is contained in the product span up to the bound.  Condition (ii)
-    solves the linear conditions for a degree-1 witness exactly and
-    returns the graded-lex-smallest one.
+    Condition (i) checks whether the products ker1[i] * ker2[j] of the
+    truncated kernels (span sources (i, j), see `_product_span`) span every
+    polynomial of degree <= degree, or failing that, whether the principal
+    ideal of a supplied candidate h lies in that span up to the bound.
+    Condition (ii) solves the linear conditions for a degree-1 witness
+    exactly and returns the graded-lex-smallest one.
     """
     if d1.nvars != d2.nvars:
         raise ArityMismatch("derivations disagree on variable count")
@@ -250,16 +251,7 @@ def check_compatibility(
     ker1 = kernel_basis(d1, degree)
     ker2 = kernel_basis(d2, degree)
 
-    # kernel elements are nonzero and Q(i)[x] has no zero divisors, so each
-    # product is nonzero and its degree is the sum of its factors' degrees
-    degrees2 = [k2.degree for k2 in ker2]
-    span = TrackedSpan()
-    for k1 in ker1:
-        room = degree - k1.degree
-        for k2, deg2 in zip(ker2, degrees2):
-            if deg2 <= room:
-                span.insert(basis.coords(k1 * k2))
-
+    span = _product_span(basis, ker1, ker2)
     if span.dimension == len(basis):
         condition_one = ConditionOne("full-span", degree)
     else:
@@ -279,15 +271,37 @@ def check_compatibility(
     return CompatibilityVerdict(n, degree, condition_one, condition_two, span.dimension)
 
 
+def _product_span(basis: MonomialBasis, ker1: Sequence[Poly], ker2: Sequence[Poly]) -> TrackedSpan:
+    """Span of the products ker1[i] * ker2[j] of degree <= basis.degree, with sources (i, j).
+
+    Each product is multiplied term by term straight into basis coordinates.
+    Kernel elements are nonzero and Q(i)[x] has no zero divisors, so each
+    product is nonzero and its degree is the sum of its factors' degrees.
+    """
+    index, span = basis._index, TrackedSpan()
+    terms2 = [(k2.degree, k2.terms.items()) for k2 in ker2]
+    for i, k1 in enumerate(ker1):
+        room, terms1 = basis.degree - k1.degree, k1.terms.items()
+        for j, (deg2, t2) in enumerate(terms2):
+            if deg2 > room:
+                continue
+            row: dict[int, Scalar] = {}
+            for e1, c1 in terms1:
+                for e2, c2 in t2:
+                    key = index[tuple(map(add, e1, e2))]
+                    row[key] = row[key] + c1 * c2 if key in row else c1 * c2
+            span.insert({key: c for key, c in row.items() if c}, (i, j))
+    return span
+
+
 def _degree_one_witness(d1: VectorField, ker2: Sequence[Poly], nvars: int) -> ConditionTwo:
     # column j is the sparse image d1^2(ker2[j]), keyed by the monomials it reaches
-    columns = [d1.apply(d1.apply(k)).terms for k in ker2]
+    comps = d1.components
+    columns = [_derivative_terms(comps, _derivative_terms(comps, k.terms)) for k in ker2]
     # ker2 is reduced echelon, ascending by leading monomial, and each kernel vector is
     # e_j minus earlier columns: so are the candidates, and the first witness is the smallest
     for vec in nullspace(columns):
-        a = Poly.zero(nvars)
-        for col, coeff in vec.items():
-            a = a + ker2[col].scale(coeff)
+        a = sum((ker2[col].scale(coeff) for col, coeff in vec.items()), Poly.zero(nvars))
         b = d1.apply(a)
         if not b.is_zero():
             return ConditionTwo("witness-found", a, b)

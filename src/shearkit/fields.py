@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 from operator import add
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import ArityMismatch, ParseError, PreconditionError, RegimeMismatch
 from .linalg import nullspace
@@ -92,9 +92,7 @@ class VectorField:
         """Derivation action: sum_i V_i * df/dx_i."""
         if f.nvars != self.nvars:
             raise ArityMismatch(f"polynomial uses {f.nvars} variables, field {self.nvars}")
-        acc: dict[tuple[int, ...], Scalar] = {}
-        _add_derivative(acc, self.components, f, 1)
-        return _trusted_poly(self.nvars, {exp: c for exp, c in acc.items() if c})
+        return _trusted_poly(self.nvars, _derivative_terms(self.components, f.terms))
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [self, other], componentwise self(W_k) - other(V_k).
@@ -107,8 +105,8 @@ class VectorField:
         out = []
         for v_k, w_k in zip(self.components, other.components):
             acc: dict[tuple[int, ...], Scalar] = {}
-            _add_derivative(acc, self.components, w_k, 1)
-            _add_derivative(acc, other.components, v_k, -1)
+            _add_derivative(acc, self.components, w_k.terms, 1)
+            _add_derivative(acc, other.components, v_k.terms, -1)
             out.append(_trusted_poly(self.nvars, {exp: c for exp, c in acc.items() if c}))
         return VectorField(out)
 
@@ -157,14 +155,14 @@ class VectorField:
 
 
 def _add_derivative(
-    acc: dict[tuple[int, ...], Scalar], components: Sequence[Poly], f: Poly, sign: int
+    acc: dict[tuple[int, ...], Scalar], components: Sequence[Poly], f_terms: Mapping, sign: int
 ) -> None:
     """Add sign * sum_j components[j] * df/dx_j into `acc`, term by term.
 
-    This is the one implementation of the derivation action; `acc` may
-    end up holding zero coefficients, which the caller drops.
+    This is the one implementation of the derivation action.  It reads f
+    as exponent -> coefficient terms, so no caller builds a `Poly` for f;
+    `acc` may end up holding zero coefficients, which the caller drops.
     """
-    f_terms = f.terms
     if not f_terms:
         return
     for j, comp in enumerate(components):
@@ -183,6 +181,13 @@ def _add_derivative(
                 term = c_coeff * factor
                 cur = acc.get(key)
                 acc[key] = term if cur is None else cur + term
+
+
+def _derivative_terms(components: Sequence[Poly], f_terms: Mapping) -> dict[tuple[int, ...], Scalar]:
+    """The terms of sum_j components[j] * df/dx_j, zeros dropped."""
+    acc: dict[tuple[int, ...], Scalar] = {}
+    _add_derivative(acc, components, f_terms, 1)
+    return {exp: c for exp, c in acc.items() if c}
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
@@ -289,15 +294,15 @@ def kernel_basis(field: VectorField, degree: int) -> list[Poly]:
     """Exact basis of {f : deg f <= degree, V(f) = 0}, echelonized.
 
     Solves V(f) = 0 by exact elimination of sparse columns: column i is
-    the image V(x^e_i), keyed by the monomials it reaches, which
-    `nullspace` numbers as rows.  Each basis vector is e_j minus earlier
-    columns, so the result is the reduced echelon basis, ascending by
-    leading monomial x^e_j.
+    the image V(x^e_i) of the term {e_i: 1}, built with no `Poly`, keyed
+    by the monomials it reaches, which `nullspace` numbers as rows.  Each
+    basis vector is e_j minus earlier columns, so the result is the
+    reduced echelon basis, ascending by leading monomial x^e_j.
     """
     basis = MonomialBasis(field.nvars, degree)
-    columns = [field.apply(Poly.monomial(field.nvars, exp, ONE)).terms for exp in basis]
+    columns = [_derivative_terms(field.components, {exp: ONE}) for exp in basis]
     return [
-        Poly(field.nvars, {basis.exponents[i]: value for i, value in vec.items()})
+        _trusted_poly(field.nvars, {basis.exponents[i]: value for i, value in vec.items()})
         for vec in nullspace(columns)
     ]
 

@@ -6,7 +6,7 @@ incremental echelon span over sparse index->Scalar dicts that also
 remembers how each row was built from the inserted source vectors,
 which is what makes emitted certificates replayable.  `nullspace`
 reads the kernel off the dependent sparse columns; it numbers their
-row labels itself, so a caller passes `Poly.terms` as they are.
+row labels itself, so a caller passes zero-free term dicts as they are.
 `rref`, a dense view of the reduced row echelon form, has no caller
 in the package; it stays for callers outside it.  Both results are
 canonical, so they do not depend on the engine.

@@ -25,6 +25,7 @@ whitespace is insignificant.  Example: ``3*x1^2*x2 - (1/2+2i)*x3``.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -381,6 +382,9 @@ _TOKEN_VAR = "var"
 _TOKEN_IMAG = "imag"
 _TOKEN_OP = "op"
 _TOKEN_END = "end"
+# ASCII only: str.isdigit also passes superscripts, which int() refuses, and
+# other scripts' digits, which int() would silently read as 0-9
+_DIGITS = re.compile("[0-9]+")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -396,24 +400,18 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append((_TOKEN_OP, ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            value = int(text[start:pos])
+        digits = _DIGITS.match(text, pos)
+        if digits:
+            start, pos = pos, digits.end()
+            value = int(digits.group())
             # a directly attached "/q" is part of the rational literal
-            if pos < n and text[pos] == "/" and pos + 1 < n and text[pos + 1].isdigit():
-                pos += 1
-                dstart = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                denominator = int(text[dstart:pos])
-                if denominator == 0:
-                    raise ParseError("zero denominator", dstart)
-                value = Fraction(value, denominator)
-            imaginary = False
-            if pos < n and text[pos] == "i":
-                imaginary = True
+            denominator = _DIGITS.match(text, pos + 1) if text.startswith("/", pos) else None
+            if denominator:
+                if not int(denominator.group()):
+                    raise ParseError("zero denominator", pos + 1)
+                value, pos = Fraction(value, int(denominator.group())), denominator.end()
+            imaginary = text.startswith("i", pos)
+            if imaginary:
                 pos += 1
             tokens.append((_TOKEN_NUM, (value, imaginary), start))
             continue
@@ -422,14 +420,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             pos += 1
             continue
         if ch == "x":
-            start = pos
-            pos += 1
-            dstart = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if dstart == pos:
-                raise ParseError("variable name needs an index, like x1", start)
-            tokens.append((_TOKEN_VAR, int(text[dstart:pos]), start))
+            index = _DIGITS.match(text, pos + 1)
+            if not index:
+                raise ParseError("variable name needs an index, like x1", pos)
+            tokens.append((_TOKEN_VAR, int(index.group()), pos))
+            pos = index.end()
             continue
         raise ParseError(f"unexpected character {ch!r}", pos)
     tokens.append((_TOKEN_END, None, n))

@@ -560,3 +560,16 @@ def test_two_sources_of_one_input_are_refused(tmp_path, capsys, argv, flags):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert all(flag in lines[0] for flag in flags)
     assert not (tmp_path / "out.csv").exists()
+
+
+# superscripts and other scripts' digits pass str.isdigit; each must be one usage error
+@pytest.mark.parametrize("text", ["x\u00b2", "x1^\u00b2", "1/\u00b2", "12\u00b2", "\u0663*x1"])
+@pytest.mark.parametrize("argv", [
+    ["codim2", "--gens", "{}", "x2", "-n", "3", "-d", "2"],
+    ["compat", "--d1", "[1; 0]", "--d2", "[0; {}]", "-d", "2"],
+    ["compat", "--d1", "[1; 0]", "--d2", "[0; 1]", "-d", "2", "--candidate", "{}"],
+], ids=["codim2-gens", "compat-field", "compat-candidate"])
+def test_non_ascii_digits_in_a_polynomial_are_a_usage_error(capsys, argv, text):
+    assert run_cli(*[arg.format(text) for arg in argv]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

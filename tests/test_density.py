@@ -10,6 +10,7 @@ from shearkit.density import (
     BasisRecord,
     _exact_det,
     _ideal_ceiling,
+    _product_span,
     _weight,
     _weight_bracket,
     LieClosureCertificate,
@@ -32,9 +33,9 @@ from shearkit.density import (
 )
 from shearkit.errors import PreconditionError
 from shearkit.fields import VectorField, kernel_basis, parse_vector_field
-from shearkit.linalg import TrackedSpan
+from shearkit.linalg import TrackedSpan, nullspace
 from shearkit.poly import MonomialBasis, Poly, grlex_key, parse_poly
-from shearkit.scalars import Scalar
+from shearkit.scalars import ONE, Scalar
 from shearkit.subvariety import SubvarietyInput, codim2_module_certificate
 
 from conftest import (
@@ -254,6 +255,120 @@ def test_witness_is_the_smallest_reduced_candidate(inputs):
         assert (two.kind, two.a, two.b) == ("not-established", None, None)
     else:
         assert (two.kind, two.a, two.b) == ("witness-found", *expected)
+
+
+# small Gaussian integers a + b i, zero included
+_gaussian_integers = st.builds(Scalar.exact, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _small_derivation(draw, nvars, diagonal):
+    """Diagonal, sum c_i x_i d/dx_i, or nilpotent triangular: in a drawn variable
+    order, component k is a polynomial in the variables before it."""
+    order = draw(st.permutations(range(nvars)))
+    comps = [Poly.zero(nvars)] * nvars
+    for k, i in enumerate(order):
+        unit = tuple(int(v == i) for v in range(nvars))
+        exps = [unit] if diagonal else [
+            tuple(draw(st.integers(0, 2)) if v in order[:k] else 0 for v in range(nvars))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        comps[i] = Poly(nvars, {exp: draw(_gaussian_integers) for exp in exps})
+    return VectorField(comps)
+
+
+@st.composite
+def small_compatibility_inputs(draw):
+    """(d1, d2, degree, candidate): d1 nilpotent, d2 nilpotent or diagonal, n <= 3, d <= 5."""
+    nvars = draw(st.integers(1, 3))
+    d1 = draw(_small_derivation(nvars, False))
+    d2 = draw(_small_derivation(nvars, draw(st.booleans())))
+    candidate = Poly.monomial(nvars, [draw(st.integers(0, 2)) for _ in range(nvars)], ONE)
+    return d1, d2, draw(st.integers(0, 5)), candidate
+
+
+def _kernel_basis_through_apply(field, degree):
+    """kernel_basis through `VectorField.apply` on one `Poly` per basis monomial."""
+    basis = MonomialBasis(field.nvars, degree)
+    columns = [field.apply(Poly.monomial(field.nvars, exp, ONE)).terms for exp in basis]
+    return [
+        Poly(field.nvars, {basis.exponents[i]: value for i, value in vec.items()})
+        for vec in nullspace(columns)
+    ]
+
+
+def _product_span_through_poly(basis, ker1, ker2):
+    """The product span from `Poly` products and `basis.coords`, with no sources."""
+    span = TrackedSpan()
+    for k1 in ker1:
+        for k2 in ker2:
+            product = k1 * k2
+            if product.degree <= basis.degree:
+                span.insert(basis.coords(product))
+    return span
+
+
+def _assert_rows_rebuild_from_sources(span, basis, ker1, ker2):
+    """Each source (i, j) is a product within the bound, and each row equals
+    sum c * ker1[i] * ker2[j] over its expanded sources."""
+    assert all(
+        i in range(len(ker1)) and j in range(len(ker2))
+        and ker1[i].degree + ker2[j].degree <= basis.degree
+        for i, j in span.sources
+    )
+    for row, vector in enumerate(span.vectors):
+        total = Poly.zero(basis.nvars)
+        for (i, j), coeff in span.expand_row(row).items():
+            total = total + (ker1[i] * ker2[j]).scale(coeff)
+        assert basis.coords(total) == vector
+
+
+@pytest.mark.parametrize("d1,d2,degree", [
+    ("[1; 0; 0]", "[0; 0; 1]", 4),
+    ("[0; x1; x2]", "[1; 0; 0]", 5),
+    ("[0; x1]", "[x1; -x2]", 6),
+    ("[0; 0; x1]", "[0; 0; x2]", 5),
+])
+def test_product_span_rows_expand_into_kernel_products(d1, d2, degree):
+    d1, d2 = F(d1), F(d2)
+    basis = MonomialBasis(d1.nvars, degree)
+    ker1, ker2 = kernel_basis(d1, degree), kernel_basis(d2, degree)
+    span = _product_span(basis, ker1, ker2)
+    assert span.dimension == check_compatibility(d1, d2, degree).product_span_dimension
+    _assert_rows_rebuild_from_sources(span, basis, ker1, ker2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_compatibility_inputs())
+@example((F("[1; 0]"), F("[x1; -x2]"), 4, P("x2^2", 2)))
+@example((F("[0; 1; x1]"), F("[(1+i)*x1; 0; -2*x3]"), 4, P("x1", 3)))
+@example((F("[0; x1; x2]"), F("[1; 0; 0]"), 5, P("1", 3)))
+def test_compatibility_matches_the_poly_product_model(inputs):
+    d1, d2, degree, candidate = inputs
+    for field in (d1, d2):
+        assert kernel_basis(field, degree) == _kernel_basis_through_apply(field, degree)
+    basis = MonomialBasis(d1.nvars, degree)
+    ker1, ker2 = kernel_basis(d1, degree), kernel_basis(d2, degree)
+    span = _product_span(basis, ker1, ker2)
+    model = _product_span_through_poly(basis, ker1, ker2)
+    assert span.pivots == model.pivots
+    _assert_rows_rebuild_from_sources(span, basis, ker1, ker2)
+
+    verdict = check_compatibility(d1, d2, degree, candidate_ideals=[candidate])
+    assert verdict.product_span_dimension == model.dimension
+    if model.dimension == len(basis):
+        kind = "full-span"
+    elif candidate.degree <= degree and all(
+        model.contains(basis.coords(candidate * Poly.monomial(d1.nvars, exp, ONE)))
+        for exp in MonomialBasis(d1.nvars, degree - candidate.degree)
+    ):
+        kind = "ideal-found"
+    else:
+        kind = "not-established"
+    assert verdict.condition_one.kind == kind
+    expected_two = model_degree_one_witness(d1, d2, degree)
+    two = verdict.condition_two
+    assert (two.a, two.b) == (expected_two or (None, None))
 
 
 class TestLieClosure:

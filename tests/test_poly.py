@@ -106,6 +106,18 @@ class TestParsing:
             with pytest.raises(ParseError):
                 P(text, 1)
 
+    # str.isdigit passes superscripts, which int() refuses, and other scripts' digits,
+    # which int() reads as 0-9: only ASCII digits may form a number or an index
+    @pytest.mark.parametrize(
+        "text, position",
+        [("x\u00b2", 0), ("x1^\u00b2", 3), ("1/\u00b2", 2), ("12\u00b2", 2),
+         ("\u0663*x1", 0), ("x\u0661", 0), ("x1^\u0662", 3), ("1/\u0662", 2)],
+    )
+    def test_non_ascii_digits_are_a_parse_error(self, text, position):
+        with pytest.raises(ParseError) as info:
+            P(text, 2)
+        assert info.value.position == position
+
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ParseError) as info:
             P("2x1", 2)
