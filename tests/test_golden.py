@@ -215,6 +215,21 @@ GOLDEN = [
         {"-o": "9cfb06a480101a80a01e13f9bc89de6d54b6edef14c178e9d722f2e163c06c05"},
         id="approx-overshear-plain",
     ),
+    # the oracle's slowest point settles at 128 steps, an even level, so its last
+    # round runs one step count alone; no benchmark entry settles there
+    pytest.param(
+        ["approx", "--field", "[0; x2^2]", "--substeps", "2,4,8,16", "--points", "50",
+         "-T", "0.8"],
+        {"-o": "00433153da3ea7a55b9c441e1cfae0abc1258abf6e019dcb8b55a8806302bf6a"},
+        id="approx-even-settling-level",
+    ),
+    # a constant complex coefficient, and substep counts out of order
+    pytest.param(
+        ["approx", "--field", "[2+i; 3*x1]", "--scheme", "plain", "--substeps", "9,3,5",
+         "--points", "6"],
+        {"-o": "ec65d196803850cf404f9250d0bd47cc9d76174125fbbc14f704d747c412edb1"},
+        id="approx-constant-coefficient-unsorted",
+    ),
 ]
 
 
