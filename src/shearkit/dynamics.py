@@ -24,15 +24,15 @@ single points and batches share their arithmetic.
 Runge-Kutta oracle `integrate_flow` takes the same (nvars, k) arrays,
 with step control per point: a round runs one step count, or two, L and
 2L, side by side in one loop when the last differences show that L will
-not settle every point.  Every column's arithmetic is that of its run
-alone, so each point's endpoint is bit for bit the one it would get by
-itself, one step count at a time.
+not settle every point; `approximate_isotopy` runs its substep counts
+side by side too.  Every column's arithmetic is that of its run alone,
+so each point's endpoint is bit for bit the one it would get by itself,
+one step count at a time.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -87,7 +87,10 @@ def _shear_coefficient(axis: int, coeff: Poly) -> Poly:
     return coeff
 
 
-def _time_complex(time) -> complex:
+def _time_complex(time) -> "complex | np.ndarray":
+    """A flow's time as a complex; a per-column time array passes through."""
+    if isinstance(time, np.ndarray):
+        return time
     return time.to_complex() if isinstance(time, Scalar) else complex(time)
 
 
@@ -110,7 +113,8 @@ class ShearFlow:
 
     The time is a complex number in the numeric pipeline; an exact
     Scalar time makes the whole flow evaluable without rounding through
-    apply_exact.
+    apply_exact.  The batched approximants give `update` a complex array
+    of per-column times instead.
     """
 
     axis: int
@@ -510,10 +514,7 @@ def trotter_compose(
     """
     if steps < 1:
         raise PreconditionError("steps must be at least 1")
-    dt = total_time / steps
-    per_step: list[ElementaryFlow] = []
-    for primitive in primitives:
-        per_step.extend(_primitive_step(primitive, nvars, dt, scheme))
+    per_step = [f for p in primitives for f in _primitive_step(p, nvars, total_time / steps, scheme)]
     return AutoSeq.from_application_order(nvars, per_step * steps)
 
 
@@ -542,6 +543,23 @@ def sample_ball(nvars: int, radius: float, count: int, seed: int = DEFAULT_SEED)
 _ORACLE_TOL = 1e-10
 
 
+def _side_by_side(counts: list[int], z: np.ndarray, advance) -> list[np.ndarray]:
+    """z's blocks of columns, each run for its own entry of `counts` (finest first).
+
+    `advance(z, active, steps)` moves the first `active` blocks in place.  A block
+    whose count is done leaves z, and a C-contiguous copy of the rest goes on.
+    """
+    z = np.ascontiguousarray(z)
+    width = z.shape[1] // len(counts)
+    ends, done = [], 0
+    for active in range(len(counts), 0, -1):
+        advance(z, active, counts[active - 1] - done)
+        done = counts[active - 1]
+        ends.append(z[:, -width:])
+        z = np.ascontiguousarray(z[:, :-width])
+    return ends[::-1]
+
+
 def integrate_flow(
     field_at: Callable[[float], VectorField],
     start: np.ndarray,
@@ -558,9 +576,8 @@ def integrate_flow(
     whose estimate is non-finite (a pole; NaN never agrees) keeps it at
     once, and one that never agrees keeps its last estimate.
 
-    A round runs one step count L, or two, L and 2L, side by side in one
-    loop: the round's columns are the still-refining points at 2L, then
-    the same points at L, so after L steps the loop goes on with the 2L
+    A round runs one step count L, or two, 2L and L, side by side in one
+    loop (`_side_by_side`): after L steps the loop goes on with the 2L
     half alone.  The rules above then settle the counts in order.  Two
     counts cost 2L steps against L + 2L one at a time, but 2L against L
     when every point settles at L, so a round pairs only when some
@@ -568,11 +585,13 @@ def integrate_flow(
     does per doubling, still misses _ORACLE_TOL.  The first round pairs
     32 with 64 unless max_doublings is 0, since no point settles at 32.
     Step sizes are per-column complex arrays holding the values a scalar
-    step is cast to, and `field_at` is evaluated at each count's own
-    time, once over every column when the counts get the same field
-    object.  So each column does the arithmetic of its run alone, and
-    each point's endpoint is bit for bit the one it would get alone, one
-    step count at a time.  Independent of the composition pipeline.
+    step is cast to, `field_at` is evaluated at each count's own time,
+    once over every column when the counts get the same field object,
+    and the stages run into buffers through the textbook expressions'
+    ufuncs in their order.  So each column does the arithmetic of its run
+    alone, and each point's endpoint is bit for bit the one it would get
+    alone, one step count at a time.  Independent of the composition
+    pipeline.
     """
     starts = np.array(start, dtype=complex)
 
@@ -581,9 +600,8 @@ def integrate_flow(
         for i, value in enumerate(field.eval_complex(z)):
             out[i] = value
 
-    def rhs(z: np.ndarray, times: list[float]) -> np.ndarray:
-        """The field at each step count's own time on that count's columns."""
-        out = np.empty_like(z)
+    def rhs(z: np.ndarray, times: list[float], out: np.ndarray) -> None:
+        """The field at each step count's own time on that count's columns, into out."""
         first = field_at(times[0])
         # a round has one or two counts; one field object for both is evaluated once
         if len(times) == 1 or (second := field_at(times[1])) is first:
@@ -591,37 +609,26 @@ def integrate_flow(
         else:
             for field, zs, outs in zip((first, second), np.hsplit(z, 2), np.hsplit(out, 2)):
                 fill(field, zs, outs)
-        return out
 
-    def run(counts: list[int], z0: np.ndarray) -> list[np.ndarray]:
-        """Endpoints of z0's columns at each step count of `counts`, coarsest first."""
-        width = z0.shape[1]
-        hs = [total_time / steps for steps in counts]
-
-        def per_column(values: list[float]) -> np.ndarray:
-            row = np.repeat(np.array(values, dtype=complex), width)
-            return np.tile(row, (z0.shape[0], 1))
-
-        z = np.tile(z0, len(counts))
-        h, half, sixth = (per_column([x / d for x in hs]) for d in (1, 2, 6))
-        times = [0.0] * len(counts)
-        ends = []
-        for i in range(counts[0]):
-            if i == counts[-1]:
-                # the coarsest count has all its steps; go on without its columns
-                ends.append(z[:, -width:])
-                z, h, half, sixth = (
-                    np.ascontiguousarray(a[:, :-width]) for a in (z, h, half, sixth)
-                )
-                del hs[-1], times[-1]
-            k1 = rhs(z, times)
+    def advance(z: np.ndarray, active: int, steps: int) -> None:
+        del hs[active:], times[active:]
+        width = z.shape[1] // active
+        h, half, sixth = (np.tile(np.repeat(np.array([x / d for x in hs], dtype=complex), width),
+                                  (z.shape[0], 1)) for d in (1, 2, 6))
+        k1, k2, k3, k4, arg = (np.empty_like(z) for _ in range(5))
+        for _ in range(steps):
+            rhs(z, times, k1)
             mids = [t + x / 2 for t, x in zip(times, hs)]
-            k2 = rhs(z + half * k1, mids)
-            k3 = rhs(z + half * k2, mids)
-            times = [t + x for t, x in zip(times, hs)]
-            k4 = rhs(z + h * k3, times)
-            z = z + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        return ends + [z]
+            rhs(np.add(z, np.multiply(half, k1, out=arg), out=arg), mids, k2)
+            rhs(np.add(z, np.multiply(half, k2, out=arg), out=arg), mids, k3)
+            times[:] = [t + x for t, x in zip(times, hs)]
+            rhs(np.add(z, np.multiply(h, k3, out=arg), out=arg), times, k4)
+            # z + sixth * (k1 + 2 * k2 + 2 * k3 + k4); numpy takes a scalar loop for a
+            # product written over a one-element input, so only exact sums are in place
+            np.add(k1, np.multiply(2, k2, out=arg), out=k1)
+            np.add(k1, np.multiply(2, k3, out=arg), out=k1)
+            np.add(k1, k4, out=k1)
+            np.add(z, np.multiply(sixth, k1, out=arg), out=z)
 
     last = max(max_doublings, 0)
     # NaN, which no estimate agrees with, stands in before the first one
@@ -633,7 +640,9 @@ def integrate_flow(
     while active.size and level <= last:
         pair = level < last and not np.all(gap[active] / 16 < _ORACLE_TOL)
         counts = [64 << level, 32 << level] if pair else [32 << level]
-        ends = run(counts, starts[:, active])
+        # each count's step size and time, which `advance` reads and steps
+        hs, times = [total_time / steps for steps in counts], [0.0] * len(counts)
+        ends = _side_by_side(counts, np.tile(starts[:, active], len(counts)), advance)[::-1]
         # each active point's column in the round's endpoint arrays
         rows = np.arange(active.size)
         for finer in ends:
@@ -709,22 +718,18 @@ def measure_convergence(
         truths = np.array(
             [reference(tuple(z)) for z in batch.T.tolist()], dtype=complex
         ).reshape(-1, nvars).T
-    return _report_against(build, batch, truths, step_counts, radius, seed)
+        ends = [build(m).apply_array(batch) for m in step_counts]
+    return _report_against(ends, truths, step_counts, radius, seed)
 
 
 def _report_against(
-    build: Callable[[int], AutoSeq],
-    batch: np.ndarray,
-    truths: np.ndarray,
-    step_counts: Sequence[int],
-    radius: float,
-    seed: int,
+    ends: Sequence[np.ndarray], truths: np.ndarray, step_counts: Sequence[int], radius: float, seed: int
 ) -> ConvergenceReport:
-    """Max errors of each approximant on the sample batch against its truths."""
+    """Max errors of each step count's endpoints of the sample against its truths."""
     errors = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in step_counts:
-            dist = np.sqrt(np.sum(np.abs(build(m).apply_array(batch) - truths) ** 2, axis=0))
+        for end in ends:
+            dist = np.sqrt(np.sum(np.abs(end - truths) ** 2, axis=0))
             errors.append(float(np.max(dist, initial=0.0)))
     if not all(math.isfinite(e) for e in errors):
         raise PreconditionError(
@@ -732,8 +737,42 @@ def _report_against(
         )
     order = -fit_loglog_slope(list(step_counts), errors)
     return ConvergenceReport(
-        tuple(step_counts), tuple(errors), order, radius, batch.shape[1], seed
+        tuple(step_counts), tuple(errors), order, radius, truths.shape[1], seed
     )
+
+
+def _approximant_ends(slice_primitives: Sequence, nvars: int, dt_slice: float,
+                      step_counts: Sequence[int], scheme: str, batch: np.ndarray) -> list[np.ndarray]:
+    """The batch mapped by each step count's slices of `trotter_compose`, bit for bit.
+
+    `_primitive_step` gives every dt the same factors up to their times, so factor q is
+    one flow with each count's own time on its columns.  A constant coefficient, which
+    `update` multiplies by a time in Python, and a one-point batch, whose one-element
+    rows numpy multiplies in place in a scalar loop, take each count's own flow."""
+    counts = sorted(set(step_counts), reverse=True)
+    width, z = batch.shape[1], np.tile(batch, len(counts))
+    for primitives in slice_primitives:
+        factors = list(zip(*(
+            [f for p in primitives for f in _primitive_step(p, nvars, dt_slice / m, scheme)]
+            for m in counts
+        )))
+        times = [np.repeat(np.array([f.time for f in q], dtype=complex), width) for q in factors]
+
+        def advance(z: np.ndarray, active: int, steps: int) -> None:
+            blocks = [z[:, c * width:(c + 1) * width] for c in range(active)]
+            updates = []
+            for q, row in zip(factors, times):
+                if q[0].coeff.degree <= 0 or width == 1:
+                    updates += zip([f.update for f in q], blocks)
+                else:
+                    updates.append((type(q[0])(q[0].axis, q[0].coeff, row[:active * width]).update, z))
+            for _ in range(steps):
+                for update, block in updates:
+                    update(block)
+
+        z = np.hstack(_side_by_side(counts, z, advance))
+    ends = dict(zip(counts, np.hsplit(z, len(counts))))
+    return [ends[m] for m in step_counts]
 
 
 def approximate_isotopy(
@@ -751,12 +790,13 @@ def approximate_isotopy(
     Each of the `slices` time slices uses the field sampled at its
     midpoint; the finest entry of `substep_counts` provides the returned
     sequence, and all entries feed the convergence report against the
-    Runge-Kutta oracle.
+    Runge-Kutta oracle.  The report runs every entry's steps side by
+    side, with per-column times (`_approximant_ends`).
     """
     if slices < 1:
         raise PreconditionError("slices must be at least 1")
-    if not substep_counts:
-        raise PreconditionError("at least one substep count is required")
+    if not substep_counts or min(substep_counts) < 1:
+        raise PreconditionError("at least one substep count is required, each at least 1")
     table: list[VectorField] | None = None
     if isinstance(field_at, Sequence):
         table = list(field_at)
@@ -774,15 +814,10 @@ def approximate_isotopy(
     midpoints = [(k + 0.5) * dt_slice for k in range(slices)]
     slice_fields = [field_fn(t) for t in midpoints]
     nvars = slice_fields[0].nvars
+    if any(f.nvars != nvars for f in slice_fields):
+        sizes = ", ".join(str(f.nvars) for f in slice_fields)
+        raise ArityMismatch(f"isotopy fields disagree on their variable count: {sizes}")
     slice_primitives = [decompose_field(f) for f in slice_fields]
-
-    # the report builds the finest approximant, which is also the return value
-    @functools.cache
-    def build(m: int) -> AutoSeq:
-        seq = AutoSeq(nvars, ())
-        for primitives in slice_primitives:
-            seq = seq.then(trotter_compose(primitives, nvars, dt_slice, m, scheme))
-        return seq
 
     batch = _sample_batch(nvars, radius, sample_count, seed)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -794,8 +829,12 @@ def approximate_isotopy(
                 truths = integrate_flow(lambda _t, f=slice_field: f, truths, dt_slice)
         else:
             truths = integrate_flow(field_fn, batch, total_time)
-    report = _report_against(build, batch, truths, substep_counts, radius, seed)
-    return build(max(substep_counts)), report
+        ends = _approximant_ends(slice_primitives, nvars, dt_slice, substep_counts, scheme, batch)
+    report = _report_against(ends, truths, substep_counts, radius, seed)
+    seq = AutoSeq(nvars, ())
+    for primitives in slice_primitives:
+        seq = seq.then(trotter_compose(primitives, nvars, dt_slice, max(substep_counts), scheme))
+    return seq, report
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
@@ -30,6 +31,18 @@ gaussian_rationals = st.builds(
     st.integers(-3, 3),
     st.integers(1, 4),
 )
+
+
+def nan_blind_bits(values):
+    """The bytes of a complex array, with every NaN part made one NaN.
+
+    IEEE 754 leaves the sign and payload of a NaN result open, and
+    numpy's vector lanes and scalar tails set them differently by
+    column position; every other bit must match.
+    """
+    parts = np.array(values, dtype=complex).view(float).copy()
+    parts[np.isnan(parts)] = np.nan
+    return parts.tobytes()
 
 
 def random_exact_scalar(rng, imaginary=True, nonzero=False):

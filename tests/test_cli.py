@@ -210,6 +210,22 @@ class TestApprox:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
+    def test_isotopy_fields_with_different_variable_counts_are_refused_up_front(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from shearkit import dynamics
+
+        isotopy = tmp_path / "isotopy.json"
+        isotopy.write_text(json.dumps({"fields": ["[0; x2^2]", "[x1*x2; x2^2; 0]"]}))
+        calls = []
+        monkeypatch.setattr(dynamics, "integrate_flow", lambda *args: calls.append(args))
+        code = run_cli("approx", "--isotopy", str(isotopy), "--substeps", "2,4,8", "--points", "2")
+        assert code == EXIT_USAGE
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "error: isotopy fields disagree on their variable count: 2, 3\n"
+        )
+
     @pytest.mark.parametrize("substeps", ["8,8,8", "2048,4096"], ids=["repeated", "two"])
     def test_unfittable_substeps_are_refused_before_any_flow(self, monkeypatch, capsys, substeps):
         from shearkit import dynamics

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shearkit.dynamics import (
+    _approximant_ends,
+    _report_against,
+    _sample_batch,
     AutoSeq,
     BracketPair,
     DiagonalFlow,
@@ -35,7 +38,7 @@ from shearkit.fields import VectorField, parse_vector_field
 from shearkit.poly import Poly, parse_poly
 from shearkit.scalars import Scalar
 
-from conftest import random_field
+from conftest import gaussian_rationals, nan_blind_bits, random_field
 
 
 def F(text):
@@ -640,6 +643,73 @@ def test_batched_convergence_matches_the_per_point_loop(field_text, scheme):
     assert (report.step_counts, report.radius, report.sample_count, report.seed) == (
         (4, 8, 16), 0.5, 12, 7
     )
+
+
+@st.composite
+def isotopy_cases(draw):
+    """A table of 1-3 fields in 2-3 variables, each of 1-3 terms of degree <= 2
+    with Gaussian-rational coefficients, a scheme and 3-4 distinct unsorted counts."""
+    nvars = draw(st.integers(2, 3))
+    table = []
+    for _ in range(draw(st.integers(1, 3))):
+        components = [{} for _ in range(nvars)]
+        for _ in range(draw(st.integers(1, 3))):
+            factors = draw(st.lists(st.integers(0, nvars - 1), max_size=2))
+            exp = tuple(factors.count(i) for i in range(nvars))
+            components[draw(st.integers(0, nvars - 1))][exp] = draw(gaussian_rationals)
+        table.append(VectorField([Poly(nvars, terms) for terms in components]))
+    counts = draw(st.lists(st.integers(1, 7), min_size=3, max_size=4, unique=True))
+    return table, draw(st.sampled_from(["symmetric", "plain"])), counts, draw(st.integers(1, 5))
+
+
+def _per_count_model(table, total_time, scheme):
+    """Reference model: each step count's sequence built and applied on its own."""
+    nvars, dt = table[0].nvars, total_time / len(table)
+
+    def build(m):
+        seq = AutoSeq(nvars, ())
+        for field in table:
+            seq = seq.then(trotter_compose(decompose_field(field), nvars, dt, m, scheme))
+        return seq
+
+    return build
+
+
+@settings(max_examples=60, deadline=None)
+@given(isotopy_cases())
+# a constant complex coefficient, an overshear from a linear component, three slices
+@example(([F("[2+i; 3*x1]"), F("[x1; -x2]"), F("[x2^2; 1/2]")], "plain", [5, 2, 7], 4))
+def test_batched_approximants_match_each_sequence_bit_for_bit(case):
+    table, scheme, counts, sample_count = case
+    total_time, radius, seed = 0.5, 0.5, 11
+    nvars, dt = table[0].nvars, total_time / len(table)
+    build = _per_count_model(table, total_time, scheme)
+    batch = _sample_batch(nvars, radius, sample_count, seed)
+    primitives = [decompose_field(field) for field in table]
+    with np.errstate(all="ignore"):
+        ends = _approximant_ends(primitives, nvars, dt, counts, scheme, batch)
+        expected = [build(m).apply_array(batch) for m in counts]
+        truths = batch
+        for field in table:
+            truths = integrate_flow(lambda _t, f=field: f, truths, dt)
+    assert [nan_blind_bits(end) for end in ends] == [nan_blind_bits(end) for end in expected]
+
+    def outcome(run):
+        try:
+            return run()
+        except PreconditionError as refused:
+            return str(refused)
+
+    got = outcome(lambda: approximate_isotopy(
+        table, total_time, len(table), counts, radius, sample_count, seed, scheme
+    ))
+    want = outcome(lambda: _report_against(expected, truths, counts, radius, seed))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        seq, report = got
+        assert report == want
+        assert autoseq_to_json_dict(seq) == autoseq_to_json_dict(build(max(counts)))
 
 
 @pytest.mark.parametrize("xs", [[8, 8, 8], [8, 16, 8]])

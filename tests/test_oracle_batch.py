@@ -19,6 +19,8 @@ from shearkit.fields import VectorField, parse_vector_field
 from shearkit.poly import Poly
 from shearkit.scalars import Scalar
 
+from conftest import nan_blind_bits
+
 
 def _solo_flow(field_at, start, total_time, tol=1e-10, max_doublings=16):
     """Reference model: the one-point integrator the batch replaced."""
@@ -221,18 +223,6 @@ def _sequential_batch(field_at, start, total_time, max_doublings=16, tol=1e-10):
     return estimate
 
 
-def _bits(values):
-    """The bytes of a complex array, with every NaN part made one NaN.
-
-    IEEE 754 leaves the sign and payload of a NaN result open, and
-    numpy's vector lanes and scalar tails set them differently by
-    column position; every other bit must match.
-    """
-    parts = np.array(values, dtype=complex).view(float).copy()
-    parts[np.isnan(parts)] = np.nan
-    return parts.tobytes()
-
-
 _RICCATI = parse_vector_field("[0; x2^2]", 2)
 _PAIR = parse_vector_field("[x1*x2; x2^2]", 2)
 
@@ -273,7 +263,7 @@ def test_bits_equal_the_sequential_batch(field_at, max_doublings):
         got = integrate_flow(field_at, batch, 0.45, max_doublings)
         want = _sequential_batch(field_at, batch, 0.45, max_doublings)
     assert not np.all(np.isfinite(want[:, 3]))
-    assert _bits(got) == _bits(want)
+    assert nan_blind_bits(got) == nan_blind_bits(want)
 
 
 @pytest.mark.parametrize(
@@ -305,7 +295,7 @@ def test_rounds_take_fewer_steps_than_one_count_at_a_time(column, settles_at, st
     want = _sequential_batch(lambda _t: counting, start, 0.45)
     assert evals // 4 == 2 * settles_at - 32
     assert got_steps == steps < evals // 4
-    assert _bits(got) == _bits(want)
+    assert nan_blind_bits(got) == nan_blind_bits(want)
 
 
 def test_a_one_slice_table_reports_as_its_constant_callable():
