@@ -765,7 +765,8 @@ def _approximant_ends(slice_primitives: Sequence, nvars: int, dt_slice: float,
                 if q[0].coeff.degree <= 0 or width == 1:
                     updates += zip([f.update for f in q], blocks)
                 else:
-                    updates.append((type(q[0])(q[0].axis, q[0].coeff, row[:active * width]).update, z))
+                    flow = type(q[0])(q[0].axis, q[0].coeff, row[:active * width])
+                    updates.append((flow.update, z))
             for _ in range(steps):
                 for update, block in updates:
                     update(block)
