@@ -31,13 +31,11 @@ EXIT_OK = 0
 EXIT_NOT_ESTABLISHED = 1
 EXIT_USAGE = 2
 
-# sl-demo refuses trials x (n! + SL_DEMO_POINT_WORK) past SL_DEMO_MAX_WORK.  The
-# default -n 8 with 50 trials is 2,041,000 and runs in 0.7 s on a 2-CPU Xeon, so a
-# unit is about 0.3 us there; drawing and solving one point exactly takes about 500
-# units at n = 4 (0.17 ms), where n! alone would undercount the run.  The largest
-# run the budget accepts takes 0.4 to 1.9 s for n = 2 to 8 there
-SL_DEMO_MAX_WORK = 4_000_000
-SL_DEMO_POINT_WORK = 500
+# sl-demo refuses trials x (n + 2)^4 past SL_DEMO_MAX_WORK, which keeps the sample below
+# poly.MAX_BASIS_SIZE too.  Drawing one point and evaluating its det exactly took 0.17 to
+# 0.24 us x (n + 2)^4 for n = 2 to 48 on a 2-CPU Xeon (quartic: the entries' coefficients
+# grow).  The largest runs the budget accepts took 1.0 to 1.4 s there, n = 47 included
+SL_DEMO_MAX_WORK = 6_000_000
 
 SL_DEMO_NOTE = (
     "verified by exact evaluation at sampled variety points; "
@@ -206,30 +204,23 @@ def _run_codim2(args) -> int:
 
 def _run_sl_demo(args) -> int:
     _require_positive(args, "n", "trials")
-    # sample sizes share the monomial bases' size budget
-    _require_count("--trials", args.trials, limit=MAX_BASIS_SIZE)
     n = args.n
-    d1, d2 = density.sl_pair_derivations(n)
-    work = args.trials * (density.determinant_terms(n) + SL_DEMO_POINT_WORK)
+    work = args.trials * (n + 2) ** 4
     if work > SL_DEMO_MAX_WORK:
         raise ShearKitError(
             f"--trials {args.trials} at n = {n} is {work} units of work "
-            f"(trials x ({n}! + {SL_DEMO_POINT_WORK})), more than {SL_DEMO_MAX_WORK}"
+            f"(trials x ({n} + 2)^4), more than {SL_DEMO_MAX_WORK}"
         )
-    det = density.determinant_poly(n)
-    # sample_sl_points solves each point onto det = 1 exactly, so no premise is re-checked
+    d1, d2 = density.sl_pair_derivations(n)
+    traces = [density.left_multiplier_trace(d, n) for d in (d1, d2)]
+    tangency_symbolic = not any(traces)
     points = density.sample_sl_points(n, args.trials, args.seed)
-    images = [d1.apply(det), d2.apply(det)]
-    tangency_symbolic = all(image.is_zero() for image in images)
-    tangency_on_samples = all(
-        image.evaluate(point).is_zero() for point in points for image in images
-    )
+    # Jacobi's formula: the field M -> A M maps det to tr(A) det, here at every sample
+    dets = [density.exact_det([point[r * n:(r + 1) * n] for r in range(n)]) for point in points]
+    tangency_on_samples = not any(trace * det for det in dets for trace in traces)
     a = density.matrix_variable(n, 0, 0)
-    b = d1.apply(a)
-    witness_ok = (
-        d2.apply(a).is_zero() and not b.is_zero() and d1.apply(b).is_zero()
-    )
-    holds = tangency_symbolic and tangency_on_samples and witness_ok
+    b, violations = density.degree_one_violations(d1, d2, a)
+    holds = tangency_symbolic and tangency_on_samples and not violations
     _emit(
         {
             "schema_version": serialize.SCHEMA_VERSION,
@@ -241,7 +232,7 @@ def _run_sl_demo(args) -> int:
             "witness": {
                 "a": serialize.poly_to_text(a),
                 "b": serialize.poly_to_text(b),
-                "holds": witness_ok,
+                "holds": not violations,
             },
             "holds": holds,
             "note": SL_DEMO_NOTE,
@@ -460,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=_run_codim2)
 
-    p = sub.add_parser("sl-demo", help="random-point identity tests on determinant-1 matrices")
+    p = sub.add_parser("sl-demo", help="row shears tangent to det = 1, by Jacobi's formula")
     p.add_argument("-n", type=int, default=2)
     p.add_argument("--trials", type=int, default=50)
     common(p, seeded=True)

@@ -50,6 +50,7 @@ __all__ = [
     "IdentityCheck",
     "verify_shear_identity",
     "verify_compat_identity",
+    "degree_one_violations",
     "ConditionOne",
     "ConditionTwo",
     "CompatibilityVerdict",
@@ -64,10 +65,11 @@ __all__ = [
     "OrbitSpanReport",
     "orbit_span_closure",
     "isotropy_update",
-    "determinant_terms",
     "determinant_poly",
+    "left_multiplier_trace",
     "matrix_variable",
     "sl_pair_derivations",
+    "exact_det",
     "sample_sl_points",
     "DEFAULT_BRACKET_DEPTH",
     "DEFAULT_SEED",
@@ -130,13 +132,8 @@ def verify_compat_identity(
         violations.append("f1 must lie in Ker d1")
     if not d2.apply(f2).is_zero():
         violations.append("f2 must lie in Ker d2")
-    if not d2.apply(a).is_zero():
-        violations.append("a must lie in Ker d2")
-    b = d1.apply(a)
-    if b.is_zero():
-        violations.append("a must have degree exactly 1 with respect to d1 (d1(a) = 0)")
-    elif not d1.apply(b).is_zero():
-        violations.append("d1(a) must lie in Ker d1")
+    b, witness_violations = degree_one_violations(d1, d2, a)
+    violations += witness_violations
     if violations:
         raise PreconditionError(violations)
     lhs = d1.mul_poly(a * f1).bracket(d2.mul_poly(f2)) - d1.mul_poly(f1).bracket(
@@ -144,6 +141,19 @@ def verify_compat_identity(
     )
     rhs = d2.mul_poly(b * f1 * f2).scale(Scalar.exact(-1))
     return _check(lhs - rhs)
+
+
+def degree_one_violations(d1: VectorField, d2: VectorField, a: Poly) -> tuple[Poly, list[str]]:
+    """b = d1(a) and how a fails to be a witness: d2(a) = 0, b != 0 and d1(b) = 0."""
+    violations = []
+    if not d2.apply(a).is_zero():
+        violations.append("a must lie in Ker d2")
+    b = d1.apply(a)
+    if b.is_zero():
+        violations.append("a must have degree exactly 1 with respect to d1 (d1(a) = 0)")
+    elif not d1.apply(b).is_zero():
+        violations.append("d1(a) must lie in Ker d1")
+    return b, violations
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +325,8 @@ def replay_compatibility(
     ok = True
     two = verdict.condition_two
     if two.established:
-        a, b = two.a, two.b
-        ok = ok and d2.apply(a).is_zero()
-        ok = ok and d1.apply(a) == b
-        ok = ok and not b.is_zero()
-        ok = ok and d1.apply(b).is_zero()
+        b, violations = degree_one_violations(d1, d2, two.a)
+        ok = not violations and b == two.b
     one = verdict.condition_one
     if one.established:
         fresh = check_compatibility(
@@ -972,11 +979,9 @@ def isotropy_update(df: Sequence[Scalar], direction: Sequence[Scalar]) -> list[l
     n = len(direction)
     if len(df) != n:
         raise ArityMismatch("differential and direction disagree on dimension")
-    one = Scalar.exact(1)
-    zero = Scalar.exact(0)
     return [
         [
-            (one if i == j else zero) + direction[i] * df[j]
+            (ONE if i == j else ZERO) + direction[i] * df[j]
             for j in range(n)
         ]
         for i in range(n)
@@ -1005,19 +1010,12 @@ def _parity(perm: Sequence[int]) -> int:
     return swaps & 1
 
 
-def determinant_terms(n: int) -> int:
-    """n!, the n x n determinant's term count; refused past MAX_BASIS_SIZE."""
-    terms = math.factorial(n)
-    if terms > MAX_BASIS_SIZE:
-        raise PreconditionError(
-            f"the {n}x{n} determinant has {terms} terms, more than {MAX_BASIS_SIZE}"
-        )
-    return terms
-
-
 def determinant_poly(n: int) -> Poly:
-    """Determinant as a polynomial on the n^2 matrix entries."""
-    determinant_terms(n)
+    """Determinant as a polynomial on the n^2 matrix entries; refused past MAX_BASIS_SIZE terms."""
+    if (size := math.factorial(n)) > MAX_BASIS_SIZE:
+        raise PreconditionError(
+            f"the {n}x{n} determinant has {size} terms, more than {MAX_BASIS_SIZE}"
+        )
     nvars = n * n
     signs = (ONE, -ONE)
     terms: dict[tuple[int, ...], Scalar] = {}
@@ -1027,6 +1025,23 @@ def determinant_poly(n: int) -> Poly:
             exp[row * n + col] += 1
         terms[tuple(exp)] = signs[_parity(perm)]
     return _trusted_poly(nvars, terms)
+
+
+def left_multiplier_trace(d: VectorField, n: int) -> Scalar:
+    """tr A for the field M -> A M, c_ij -> sum_k A_ik c_kj, on n x n matrices, which maps det
+    to tr(A) det (Jacobi's formula).  Any other field is refused: a term that is not linear or
+    that reads another column, or an A that differs by column."""
+    if d.nvars != n * n:
+        raise ArityMismatch(f"field has {d.nvars} variables, expected {n * n}")
+    columns = [{} for _ in range(n)]
+    for v, component in enumerate(d.components):
+        for exp, coeff in component.terms.items():
+            if sum(exp) != 1 or exp.index(1) % n != v % n:
+                raise PreconditionError(f"component {v + 1} is not linear in its own column")
+            columns[v % n][v // n, exp.index(1) // n] = coeff
+    if any(column != columns[0] for column in columns):
+        raise PreconditionError("the field multiplies its columns by different matrices")
+    return sum((columns[0].get((i, i), ZERO) for i in range(n)), ZERO)
 
 
 def sl_pair_derivations(n: int) -> tuple[VectorField, VectorField]:
@@ -1046,7 +1061,7 @@ def sl_pair_derivations(n: int) -> tuple[VectorField, VectorField]:
     return VectorField(comps1), VectorField(comps2)
 
 
-def _exact_det(entries: list[list[Scalar]]) -> Scalar:
+def exact_det(entries: list[list[Scalar]]) -> Scalar:
     """Determinant of a square matrix over Q(i), read off a `TrackedSpan` of its rows."""
     span = TrackedSpan()
     for row in entries:
@@ -1077,20 +1092,15 @@ def sample_sl_points(n: int, count: int, seed: int = DEFAULT_SEED) -> list[tuple
         attempts += 1
         if attempts > limit:
             raise ShearKitError("exhausted retries while sampling determinant-1 points")
-        entries = [
-            [
-                Scalar.exact(rng.randint(-3, 3), rng.randint(-1, 1))
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
+        entries = [[Scalar.exact(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(n)]
+                   for _ in range(n)]
         minor = [row[1:] for row in entries[1:]]
-        cofactor = _exact_det(minor)
+        cofactor = exact_det(minor)
         if cofactor.is_zero():
             continue
         entries[0][0] = Scalar.exact(0)
-        rest = _exact_det(entries)
+        rest = exact_det(entries)
         entries[0][0] = (Scalar.exact(1) - rest) / cofactor
-        assert (_exact_det(entries) - Scalar.exact(1)).is_zero()
+        assert (exact_det(entries) - Scalar.exact(1)).is_zero()
         points.append(tuple(value for row in entries for value in row))
     return points

@@ -746,9 +746,9 @@ def _approximant_ends(slice_primitives: Sequence, nvars: int, dt_slice: float,
     """The batch mapped by each step count's slices of `trotter_compose`, bit for bit.
 
     `_primitive_step` gives every dt the same factors up to their times, so factor q is
-    one flow with each count's own time on its columns.  A constant coefficient, which
-    `update` multiplies by a time in Python, and a one-point batch, whose one-element
-    rows numpy multiplies in place in a scalar loop, take each count's own flow."""
+    one flow with each count's own time on its columns; each time is real or imaginary,
+    so numpy's products with it equal Python's.  A one-point batch, whose one-element
+    rows numpy multiplies in place in a scalar loop, takes each count's own flow."""
     counts = sorted(set(step_counts), reverse=True)
     width, z = batch.shape[1], np.tile(batch, len(counts))
     for primitives in slice_primitives:
@@ -759,14 +759,13 @@ def _approximant_ends(slice_primitives: Sequence, nvars: int, dt_slice: float,
         times = [np.repeat(np.array([f.time for f in q], dtype=complex), width) for q in factors]
 
         def advance(z: np.ndarray, active: int, steps: int) -> None:
-            blocks = [z[:, c * width:(c + 1) * width] for c in range(active)]
-            updates = []
-            for q, row in zip(factors, times):
-                if q[0].coeff.degree <= 0 or width == 1:
-                    updates += zip([f.update for f in q], blocks)
-                else:
-                    flow = type(q[0])(q[0].axis, q[0].coeff, row[:active * width])
-                    updates.append((flow.update, z))
+            if width == 1:
+                blocks = [z[:, c:c + 1] for c in range(active)]
+                updates = [(f.update, block) for q in factors for f, block in zip(q, blocks)]
+            else:
+                flows = [type(q[0])(q[0].axis, q[0].coeff, row[:active * width])
+                         for q, row in zip(factors, times)]
+                updates = [(flow.update, z) for flow in flows]
             for _ in range(steps):
                 for update, block in updates:
                     update(block)

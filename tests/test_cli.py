@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,8 +9,7 @@ import pytest
 
 import shearkit
 from shearkit.cli import (
-    EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, SL_DEMO_MAX_WORK, SL_DEMO_POINT_WORK,
-    build_parser, run,
+    EXIT_NOT_ESTABLISHED, EXIT_OK, EXIT_USAGE, SL_DEMO_MAX_WORK, build_parser, run,
 )
 from shearkit.errors import PreconditionError
 
@@ -400,8 +398,8 @@ _GRID = {"origin": [[0, 0], [0, 0]], "axis_u": [[1, 0], [0, 0]], "axis_v": [[0, 
         (["closure", "--shear-family", "3", "-D", "3", "--monomial-targets", "-1"], None),
         # a sample past the monomial-basis budget, which would run until killed
         (["sl-demo", "-n", "2", "--trials", str(10**20)], None),
-        # trials x (n! + cli.SL_DEMO_POINT_WORK) past the sl-demo work budget, which would
-        # run for a minute or more at n = 8 and for 16 s at n = 4
+        # trials x (n + 2)^4 past the sl-demo work budget, which would run for about three
+        # minutes at n = 8 and for 20 s at n = 4
         (["sl-demo", "-n", "8", "--trials", "100000"], None),
         (["sl-demo", "-n", "4", "--trials", "100000"], None),
     ],
@@ -459,39 +457,36 @@ def test_oversized_monomial_basis_is_refused_before_allocation(tmp_path, capsys,
     assert peak < 2_000_000
 
 
-def test_sl_demo_refuses_more_permutations_than_the_budget(capsys):
-    # 9! = 362,880 determinant terms, over poly.MAX_BASIS_SIZE
-    tracemalloc.start()
-    try:
-        code = run_cli("sl-demo", "-n", "9")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_USAGE
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "362880 terms" in lines[0]
-    assert peak < 2_000_000
+@pytest.mark.parametrize(
+    "argv", [["-n", "9"], ["-n", "12", "--trials", "1"]], ids=["n9", "n12-one-trial"]
+)
+def test_sl_demo_runs_where_the_determinant_is_refused(capsys, argv):
+    # tangency comes from tr A, so no n!-term determinant caps n
+    assert run_cli("sl-demo", *argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["holds"] and payload["tangency_symbolic"] and payload["tangency_on_samples"]
+    assert payload["points_tested"] == build_parser().parse_args(["sl-demo", *argv]).trials
 
 
 def test_sl_demo_refuses_more_work_than_the_budget(capsys):
-    # 100,000 trials x (8! + 500), refused before the determinant is built
-    tracemalloc.start()
-    try:
-        code = run_cli("sl-demo", "-n", "8", "--trials", "100000")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_USAGE
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "4082000000" in lines[0] and str(SL_DEMO_MAX_WORK) in lines[0]
-    assert peak < 2_000_000
+    # 100,000 trials x (n + 2)^4, refused before any point is drawn
+    for n, work in [(8, 1_000_000_000), (4, 129_600_000)]:
+        tracemalloc.start()
+        try:
+            code = run_cli("sl-demo", "-n", str(n), "--trials", "100000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(work) in lines[0] and str(SL_DEMO_MAX_WORK) in lines[0]
+        assert peak < 2_000_000
 
 
 def test_sl_demo_default_trials_at_n8_fit_the_work_budget():
     trials = build_parser().parse_args(["sl-demo", "-n", "8"]).trials
-    assert trials * (math.factorial(8) + SL_DEMO_POINT_WORK) <= SL_DEMO_MAX_WORK
+    assert trials * (8 + 2) ** 4 <= SL_DEMO_MAX_WORK
 
 
 @pytest.mark.parametrize(

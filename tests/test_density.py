@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from shearkit import density, subvariety
 from shearkit.density import (
     BasisRecord,
-    _exact_det,
     _ideal_ceiling,
     _product_span,
     _weight,
@@ -17,8 +17,11 @@ from shearkit.density import (
     TargetRecord,
     check_compatibility,
     closure_from_json_dict,
+    degree_one_violations,
     determinant_poly,
+    exact_det,
     isotropy_update,
+    left_multiplier_trace,
     lie_closure,
     matrix_variable,
     monomial_field_targets,
@@ -31,7 +34,7 @@ from shearkit.density import (
     verify_compat_identity,
     verify_shear_identity,
 )
-from shearkit.errors import PreconditionError
+from shearkit.errors import ArityMismatch, PreconditionError
 from shearkit.fields import VectorField, kernel_basis, parse_vector_field
 from shearkit.linalg import TrackedSpan, nullspace
 from shearkit.poly import MonomialBasis, Poly, grlex_key, parse_poly
@@ -117,6 +120,28 @@ class TestCompatIdentity:
             f1 = random_exact_poly(rng, 3, 3, allowed_vars=[1, 2])
             f2 = random_exact_poly(rng, 3, 3, allowed_vars=[0, 1])
             assert verify_compat_identity(d1, d2, a, f1, f2).holds
+
+
+@pytest.mark.parametrize(
+    "a, violations",
+    [
+        ("x1", []),
+        ("1", ["a must have degree exactly 1 with respect to d1 (d1(a) = 0)"]),
+        ("x2", ["a must lie in Ker d2",
+                "a must have degree exactly 1 with respect to d1 (d1(a) = 0)"]),
+        ("x1^2", ["d1(a) must lie in Ker d1"]),
+        ("x1*x2", ["a must lie in Ker d2"]),
+    ],
+)
+def test_degree_one_violations_name_each_failed_condition(a, violations):
+    # one rule for verify_compat_identity, replay_compatibility and sl-demo's witness
+    d1, d2 = F("[1; 0]"), F("[0; 1]")
+    b, found = degree_one_violations(d1, d2, P(a, 2))
+    assert b == d1.apply(P(a, 2)) and found == violations
+    if violations:
+        with pytest.raises(PreconditionError) as raised:
+            verify_compat_identity(d1, d2, P(a, 2), P("x2", 2), P("x1", 2))
+        assert raised.value.violations == violations
 
 
 def _brute_force_product_monomials(ker1_exps, ker2_exps, degree):
@@ -1022,9 +1047,66 @@ def test_exact_det_matches_the_determinant_polynomial(data):
         i, j = data.draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
         c = Scalar.exact(0) if n == 1 else data.draw(gaussian_rationals)
         rows[j] = [c * x for x in rows[i]]
-        assert _exact_det(rows).is_zero()
+        assert exact_det(rows).is_zero()
     point = [x for row in rows for x in row]
-    assert _exact_det(rows) == determinant_poly(n).evaluate(point)
+    assert exact_det(rows) == determinant_poly(n).evaluate(point)
+
+
+def test_determinant_poly_refuses_more_terms_than_the_basis_budget():
+    # 9! = 362,880 terms, over poly.MAX_BASIS_SIZE, refused before any is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="362880 terms"):
+            determinant_poly(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def _left_multiplication(n, matrix):
+    """The field M -> A M, c_ij -> sum_k A_ik c_kj, for A = matrix."""
+    return VectorField([
+        sum((matrix_variable(n, k, j).scale(matrix[i][k]) for k in range(n)), Poly.zero(n * n))
+        for i in range(n) for j in range(n)
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_left_multiplier_trace_is_jacobis_factor(data):
+    n = data.draw(st.integers(1, 5))
+    matrix = data.draw(st.lists(
+        st.lists(_gaussian_integers, min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    trace = sum((matrix[i][i] for i in range(n)), Scalar.exact(0))
+    if data.draw(st.booleans()):
+        matrix[-1][-1] = matrix[-1][-1] - trace
+        trace = Scalar.exact(0)
+    d = _left_multiplication(n, matrix)
+    assert left_multiplier_trace(d, n) == trace
+    det = determinant_poly(n)
+    assert d.apply(det) == det.scale(trace)
+    with pytest.raises(ArityMismatch):
+        left_multiplier_trace(d, n + 1)
+
+    # each refused shape, added to component c_ij with a nonzero coefficient c
+    i, j, k, l = (data.draw(st.integers(0, n - 1)) for _ in range(4))
+    c = data.draw(_gaussian_integers.filter(bool))
+    nonlinear = data.draw(st.sampled_from([
+        Poly.constant(n * n, c), matrix_variable(n, k, j) * matrix_variable(n, l, j).scale(c)
+    ]))
+    shapes = [(nonlinear, "own column")]
+    if n > 1:
+        other = (j + 1 + l % (n - 1)) % n
+        # a term from another column, and A_ik changed in column j only
+        shapes += [(matrix_variable(n, k, other).scale(c), "own column"),
+                   (matrix_variable(n, k, j).scale(c), "different matrices")]
+    for extra, message in shapes:
+        comps = list(d.components)
+        comps[i * n + j] = comps[i * n + j] + extra
+        with pytest.raises(PreconditionError, match=message):
+            left_multiplier_trace(VectorField(comps), n)
 
 
 class TestSpecialLinearDemo:
