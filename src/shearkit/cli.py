@@ -32,9 +32,9 @@ EXIT_NOT_ESTABLISHED = 1
 EXIT_USAGE = 2
 
 # sl-demo refuses trials x (n + 2)^4 past SL_DEMO_MAX_WORK, which keeps the sample below
-# poly.MAX_BASIS_SIZE too.  Drawing one point and evaluating its det exactly took 0.17 to
-# 0.24 us x (n + 2)^4 for n = 2 to 48 on a 2-CPU Xeon (quartic: the entries' coefficients
-# grow).  The largest runs the budget accepts took 1.0 to 1.4 s there, n = 47 included
+# poly.MAX_BASIS_SIZE too.  Drawing one point, with the exact dets that solve and check it,
+# took 0.12 to 0.15 us x (n + 2)^4 for n = 2 to 48 on a 2-CPU Xeon (quartic: the entries'
+# coefficients grow).  The largest runs the budget accepts took 0.7 to 0.95 s there, n = 47 too
 SL_DEMO_MAX_WORK = 6_000_000
 
 SL_DEMO_NOTE = (
@@ -215,9 +215,8 @@ def _run_sl_demo(args) -> int:
     traces = [density.left_multiplier_trace(d, n) for d in (d1, d2)]
     tangency_symbolic = not any(traces)
     points = density.sample_sl_points(n, args.trials, args.seed)
-    # Jacobi's formula: the field M -> A M maps det to tr(A) det, here at every sample
-    dets = [density.exact_det([point[r * n:(r + 1) * n] for r in range(n)]) for point in points]
-    tangency_on_samples = not any(trace * det for det in dets for trace in traces)
+    # Jacobi's formula: M -> A M maps det to tr(A) det, so to tr(A) at each (checked) det-1 sample
+    tangency_on_samples = not any(trace for _ in points for trace in traces)
     a = density.matrix_variable(n, 0, 0)
     b, violations = density.degree_one_violations(d1, d2, a)
     holds = tangency_symbolic and tangency_on_samples and not violations

@@ -1080,7 +1080,7 @@ def sample_sl_points(n: int, count: int, seed: int = DEFAULT_SEED) -> list[tuple
 
     Entries are drawn as small Gaussian integers and entry (1,1) is then
     solved for via its cofactor; draws with a vanishing cofactor are
-    retried.
+    retried.  Every returned matrix has had its determinant checked.
     """
     if n < 2:
         raise PreconditionError("n must be at least 2")
@@ -1098,9 +1098,10 @@ def sample_sl_points(n: int, count: int, seed: int = DEFAULT_SEED) -> list[tuple
         cofactor = exact_det(minor)
         if cofactor.is_zero():
             continue
-        entries[0][0] = Scalar.exact(0)
+        entries[0][0] = ZERO
         rest = exact_det(entries)
-        entries[0][0] = (Scalar.exact(1) - rest) / cofactor
-        assert (exact_det(entries) - Scalar.exact(1)).is_zero()
+        entries[0][0] = (ONE - rest) / cofactor
+        if not (exact_det(entries) - ONE).is_zero():
+            raise ShearKitError("a sampled matrix missed determinant one")
         points.append(tuple(value for row in entries for value in row))
     return points

@@ -25,9 +25,10 @@ Runge-Kutta oracle `integrate_flow` takes the same (nvars, k) arrays,
 with step control per point: a round runs one step count, or two, L and
 2L, side by side in one loop when the last differences show that L will
 not settle every point; `approximate_isotopy` runs its substep counts
-side by side too.  Every column's arithmetic is that of its run alone,
-so each point's endpoint is bit for bit the one it would get by itself,
-one step count at a time.
+side by side too, from one table of each time slice's splitting factors,
+which also gives its returned sequence.  Every column's arithmetic is
+that of its run alone, so each point's endpoint is bit for bit the one
+it would get by itself, one step count at a time.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .density import DEFAULT_SEED
 from .errors import ArityMismatch, PreconditionError, RegimeMismatch, ShearKitError
-from .fields import VectorField, _as_exact_scalar, shear_pair_fields, shear_pair_residual
+from .fields import VectorField, _as_exact_scalar, shear_pair_residual
 from .poly import Poly, grlex_key, parse_poly
 from .scalars import Scalar
 from . import serialize
@@ -338,6 +340,8 @@ class BracketPair:
 
     The brackets are the shear identity on the four integrable factors of
     `fields.shear_pair_fields`, re-verified exactly at construction time.
+    The splitting reads them off the pair as (axis, f, is_overshear) triples,
+    not as fields: x_aux f1 d_aux is the overshear of f1, the others shears.
     """
 
     axis: int
@@ -401,12 +405,6 @@ def decompose_field(field: VectorField) -> list[CompletePrimitive]:
 # ---------------------------------------------------------------------------
 
 
-def _factor_flow(axis: int, coeff: Poly, time: complex, overshear: bool) -> ElementaryFlow:
-    if overshear:
-        return OvershearFlow(axis, coeff, time)
-    return ShearFlow(axis, coeff, time)
-
-
 def _classify_integrable(field: VectorField) -> tuple[int, Poly, bool]:
     """Recognize f*d/dx_i (shear) or x_i*f*d/dx_i (overshear), exactly.
 
@@ -435,22 +433,19 @@ def _classify_integrable(field: VectorField) -> tuple[int, Poly, bool]:
 
 
 def _commutator_factors(
-    a_field: VectorField, b_field: VectorField, a_time: complex
+    a: tuple[int, Poly, bool], b: tuple[int, Poly, bool], a_time: complex
 ) -> list[ElementaryFlow]:
     """Group-commutator factors approximating exp(a^2 [A, B]) as a map.
 
-    Flows compose anti-homomorphically with the field bracket (pulling
-    back functions reverses products), so the map realizing the field
-    bracket [A, B] applies the flows in the order A(-a), B(-a), A(a),
-    B(a); the returned list is in application order.
+    A and B come as `_classify_integrable` triples.  Flows compose
+    anti-homomorphically with the field bracket (pulling back functions
+    reverses products), so the map realizing [A, B] applies the flows in
+    the order A(-a), B(-a), A(a), B(a), returned in application order.
     """
-    ax_a, f_a, over_a = _classify_integrable(a_field)
-    ax_b, f_b, over_b = _classify_integrable(b_field)
     return [
-        _factor_flow(ax_a, f_a, -a_time, over_a),
-        _factor_flow(ax_b, f_b, -a_time, over_b),
-        _factor_flow(ax_a, f_a, a_time, over_a),
-        _factor_flow(ax_b, f_b, a_time, over_b),
+        (OvershearFlow if overshear else ShearFlow)(axis, coeff, time)
+        for time in (-a_time, a_time)
+        for axis, coeff, overshear in (a, b)
     ]
 
 
@@ -466,21 +461,19 @@ def commutator_step(a_field: VectorField, b_field: VectorField, s: float) -> Aut
     nvars = a_field.nvars
     if nvars != b_field.nvars:
         raise ArityMismatch("fields disagree on variable count")
-    a = math.sqrt(s)
-    return AutoSeq.from_application_order(
-        nvars, _commutator_factors(a_field, b_field, a)
+    factors = _commutator_factors(
+        _classify_integrable(a_field), _classify_integrable(b_field), math.sqrt(s)
     )
+    return AutoSeq.from_application_order(nvars, factors)
 
 
-def _primitive_step(
-    primitive: CompletePrimitive, nvars: int, dt: float, scheme: str
-) -> list[ElementaryFlow]:
+def _primitive_step(primitive: CompletePrimitive, dt: float, scheme: str) -> list[ElementaryFlow]:
     """Application-ordered factors advancing one primitive by time dt."""
     if isinstance(primitive, Shear):
         return [ShearFlow(primitive.axis, primitive.coeff, dt)]
-    a1, b1, a2, b2 = shear_pair_fields(
-        nvars, primitive.aux, primitive.axis, primitive.f1, primitive.f2
-    )
+    axis, aux, f1, f2 = primitive.axis, primitive.aux, primitive.f1, primitive.f2
+    a1, b1 = (aux, f1, False), (axis, Poly.variable(f2.nvars, aux) * f2, False)
+    a2, b2 = (aux, f1, True), (axis, f2, False)
     if scheme == "plain":
         a = cmath.sqrt(dt)
         # exp(dt [A1,B1]) then exp(-dt [A2,B2]) = exp(dt [B2,A2])
@@ -514,7 +507,7 @@ def trotter_compose(
     """
     if steps < 1:
         raise PreconditionError("steps must be at least 1")
-    per_step = [f for p in primitives for f in _primitive_step(p, nvars, total_time / steps, scheme)]
+    per_step = [f for p in primitives for f in _primitive_step(p, total_time / steps, scheme)]
     return AutoSeq.from_application_order(nvars, per_step * steps)
 
 
@@ -741,9 +734,10 @@ def _report_against(
     )
 
 
-def _approximant_ends(slice_primitives: Sequence, nvars: int, dt_slice: float,
-                      step_counts: Sequence[int], scheme: str, batch: np.ndarray) -> list[np.ndarray]:
-    """The batch mapped by each step count's slices of `trotter_compose`, bit for bit.
+def _approximant_ends(slice_primitives: Sequence, dt_slice: float, step_counts: Sequence[int],
+                      scheme: str, batch: np.ndarray) -> tuple[list, list]:
+    """The batch mapped by each step count's slices of `trotter_compose`, bit for bit,
+    and each slice's one-step factors at the largest count, in application order.
 
     `_primitive_step` gives every dt the same factors up to their times, so factor q is
     one flow with each count's own time on its columns; each time is real or imaginary,
@@ -751,11 +745,13 @@ def _approximant_ends(slice_primitives: Sequence, nvars: int, dt_slice: float,
     rows numpy multiplies in place in a scalar loop, takes each count's own flow."""
     counts = sorted(set(step_counts), reverse=True)
     width, z = batch.shape[1], np.tile(batch, len(counts))
+    finest = []
     for primitives in slice_primitives:
         factors = list(zip(*(
-            [f for p in primitives for f in _primitive_step(p, nvars, dt_slice / m, scheme)]
+            [f for p in primitives for f in _primitive_step(p, dt_slice / m, scheme)]
             for m in counts
         )))
+        finest.append([q[0] for q in factors])
         times = [np.repeat(np.array([f.time for f in q], dtype=complex), width) for q in factors]
 
         def advance(z: np.ndarray, active: int, steps: int) -> None:
@@ -772,7 +768,7 @@ def _approximant_ends(slice_primitives: Sequence, nvars: int, dt_slice: float,
 
         z = np.hstack(_side_by_side(counts, z, advance))
     ends = dict(zip(counts, np.hsplit(z, len(counts))))
-    return [ends[m] for m in step_counts]
+    return [ends[m] for m in step_counts], finest
 
 
 def approximate_isotopy(
@@ -791,28 +787,18 @@ def approximate_isotopy(
     midpoint; the finest entry of `substep_counts` provides the returned
     sequence, and all entries feed the convergence report against the
     Runge-Kutta oracle.  The report runs every entry's steps side by
-    side, with per-column times (`_approximant_ends`).
+    side, with per-column times (`_approximant_ends`); its one-step
+    factors at the finest count, m times per slice, are the sequence.
     """
     if slices < 1:
         raise PreconditionError("slices must be at least 1")
     if not substep_counts or min(substep_counts) < 1:
         raise PreconditionError("at least one substep count is required, each at least 1")
-    table: list[VectorField] | None = None
-    if isinstance(field_at, Sequence):
-        table = list(field_at)
-        if len(table) != slices:
-            raise ArityMismatch("field table length must equal the slice count")
-
-        def field_fn(t: float) -> VectorField:
-            index = min(int(t / total_time * slices), slices - 1)
-            return table[index]
-
-    else:
-        field_fn = field_at
-
+    table = list(field_at) if isinstance(field_at, Sequence) else None
+    if table is not None and len(table) != slices:
+        raise ArityMismatch("field table length must equal the slice count")
     dt_slice = total_time / slices
-    midpoints = [(k + 0.5) * dt_slice for k in range(slices)]
-    slice_fields = [field_fn(t) for t in midpoints]
+    slice_fields = table or [field_at((k + 0.5) * dt_slice) for k in range(slices)]
     nvars = slice_fields[0].nvars
     if any(f.nvars != nvars for f in slice_fields):
         sizes = ", ".join(str(f.nvars) for f in slice_fields)
@@ -828,13 +814,12 @@ def approximate_isotopy(
             for slice_field in table:
                 truths = integrate_flow(lambda _t, f=slice_field: f, truths, dt_slice)
         else:
-            truths = integrate_flow(field_fn, batch, total_time)
-        ends = _approximant_ends(slice_primitives, nvars, dt_slice, substep_counts, scheme, batch)
+            truths = integrate_flow(field_at, batch, total_time)
+        ends, finest = _approximant_ends(slice_primitives, dt_slice, substep_counts, scheme, batch)
     report = _report_against(ends, truths, substep_counts, radius, seed)
-    seq = AutoSeq(nvars, ())
-    for primitives in slice_primitives:
-        seq = seq.then(trotter_compose(primitives, nvars, dt_slice, max(substep_counts), scheme))
-    return seq, report
+    # elements run outermost first: the last slice's last step leads
+    per_slice = (step[::-1] * max(substep_counts) for step in reversed(finest))
+    return AutoSeq(nvars, chain.from_iterable(per_slice)), report
 
 
 # ---------------------------------------------------------------------------

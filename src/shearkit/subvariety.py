@@ -49,6 +49,11 @@ __all__ = [
     "codim2_module_certificate",
 ]
 
+# verify_local_identities refuses N^2 past this for the N = C(s + t - 1, s) terms of h^s: with
+# h = x3 + ... + x(t + 2), t = 2 to 4, its checks took 30 to 70 us x N^2 on a 2-CPU Xeon, and
+# the largest runs it accepts (t = 2 to 5, n up to 12) took 0.9 to 1.6 s there
+LOCAL_TRIPLE_MAX_PRODUCTS = 30_000
+
 
 @dataclass(frozen=True)
 class SubvarietyInput:
@@ -261,12 +266,15 @@ def verify_local_identities(
     terms = max(len(h.terms), 1)
     if not isinstance(s, int) or s < 0:
         violations.append("exponent s must be a non-negative integer")
-    # h**s takes s products, and each term of h^s is a product of s of the t terms of h;
+    # h**s takes s products, and each of the N <= C(s + t - 1, s) terms of h^s is a product of
+    # s of the t terms of h; the bracket products such as h^s * xi * p take about N^2 more.
     # s alone bounds that work from below, so a huge s never reaches the binomial
-    elif s > MAX_BASIS_SIZE or s * math.comb(s + terms - 1, s) > MAX_BASIS_SIZE:
+    elif s > MAX_BASIS_SIZE or (s * (size := math.comb(s + terms - 1, s)) > MAX_BASIS_SIZE
+                                or size**2 > LOCAL_TRIPLE_MAX_PRODUCTS):
         violations.append(
-            f"exponent s = {s} is over budget: with t = {terms} terms in h, the work bound "
-            f"s * C(s + t - 1, s) of h^s must be at most {MAX_BASIS_SIZE}"
+            f"exponent s = {s} is over budget: with t = {terms} terms in h, h^s has up to "
+            f"N = C(s + t - 1, s) terms, and s * N must be at most {MAX_BASIS_SIZE} "
+            f"and N^2 at most {LOCAL_TRIPLE_MAX_PRODUCTS}"
         )
     if not r.partial(0).is_zero():
         violations.append("r must not depend on x1")

@@ -66,9 +66,10 @@ class TestVerifyIdentity:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: identity 'local-triple' needs --h, --f, --g\n"
 
-    # h^s has at most C(s + t - 1, s) terms for the t terms of h: 1 for h = 1 and
-    # s + 1 for h = x3 + x4, so the budget s * C(s + t - 1, s) <= 100,000 ends at
-    # s = 100,000 and s = 315; h = x3 + x4 at s = 315 is left out, it takes seconds
+    # h^s has at most N = C(s + t - 1, s) terms for the t terms of h: 1 for h = 1,
+    # s + 1 for h = x3 + x4 and C(s + 2, 2) for x3 + x4 + x5.  s * N <= 100,000 ends at
+    # s = 100,000 and s = 315, and N^2 <= 30,000, the bracket products' bound, at s = 172
+    # and s = 17; x3 + x4 + x5 at s = 40, which s * N admits, ran for 28 s before that
     @pytest.mark.parametrize(
         "h, s, code",
         [
@@ -77,11 +78,13 @@ class TestVerifyIdentity:
             ("1", 100_000, EXIT_OK),
             ("x3 + x4", 10**20, EXIT_USAGE),
             ("x3 + x4", 316, EXIT_USAGE),
+            ("x3 + x4", 173, EXIT_USAGE),
             ("x3 + x4", 20, EXIT_OK),
+            ("x3 + x4 + x5", 40, EXIT_USAGE),
         ],
     )
     def test_local_triple_exponent_is_bounded_by_the_work_of_h_to_the_s(self, capsys, h, s, code):
-        argv = ["verify-identity", "local-triple", "-n", "4", "--r", "0", "--h", h,
+        argv = ["verify-identity", "local-triple", "-n", "5", "--r", "0", "--h", h,
                 "-s", str(s), "--f", "1", "--g", "1"]
         assert run_cli(*argv) == code
         err = capsys.readouterr().err.splitlines()

@@ -34,7 +34,7 @@ from shearkit.density import (
     verify_compat_identity,
     verify_shear_identity,
 )
-from shearkit.errors import ArityMismatch, PreconditionError
+from shearkit.errors import ArityMismatch, PreconditionError, ShearKitError
 from shearkit.fields import VectorField, kernel_basis, parse_vector_field
 from shearkit.linalg import TrackedSpan, nullspace
 from shearkit.poly import MonomialBasis, Poly, grlex_key, parse_poly
@@ -1114,6 +1114,13 @@ class TestSpecialLinearDemo:
         det = determinant_poly(2)
         for point in sample_sl_points(2, 25, seed=5):
             assert det.evaluate(point) == Scalar.exact(1)
+
+    def test_sampler_raises_when_the_solved_entry_misses_det_one(self, monkeypatch):
+        # an explicit check, which python -O keeps: every det reads 2, so the solved
+        # entry gives det 2 and the sampler must refuse the matrix
+        monkeypatch.setattr(density, "exact_det", lambda entries: ONE + ONE)
+        with pytest.raises(ShearKitError, match="missed determinant one"):
+            sample_sl_points(2, 1, seed=5)
 
     def test_identity_matrix_satisfies_constraint(self):
         det = determinant_poly(3)

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shearkit import dynamics
 from shearkit.dynamics import (
     _approximant_ends,
+    _classify_integrable,
+    _primitive_step,
     _report_against,
     _sample_batch,
     AutoSeq,
@@ -34,9 +37,10 @@ from shearkit.dynamics import (
     trotter_compose,
 )
 from shearkit.errors import ArityMismatch, PreconditionError
-from shearkit.fields import VectorField, parse_vector_field
+from shearkit.fields import VectorField, parse_vector_field, shear_pair_fields
 from shearkit.poly import Poly, parse_poly
 from shearkit.scalars import Scalar
+from shearkit.serialize import canonical_dumps
 
 from conftest import gaussian_rationals, nan_blind_bits, random_field
 
@@ -208,6 +212,22 @@ class TestCommutatorStep:
     def test_non_integrable_input_rejected(self):
         with pytest.raises(PreconditionError):
             commutator_step(F("[x1^2; 0]"), F("[0; x1]"), 0.1)
+
+    def test_field_along_two_axes_rejected(self):
+        with pytest.raises(PreconditionError, match="one component expected"):
+            commutator_step(F("[x2; 0]"), F("[x2; x1]"), 0.1)
+
+
+@pytest.mark.parametrize("scheme", ["symmetric", "plain"])
+def test_bracket_pair_factors_are_the_flows_of_its_identity_fields(scheme):
+    # the splitting reads a pair's factors off the pair; classifying the four fields of
+    # its shear identity must give the same flows
+    pair = BracketPair(1, 0, P("x2*x3 + 1", 3), P("x1^2 - 3*x3", 3))
+    fields = shear_pair_fields(3, pair.aux, pair.axis, pair.f1, pair.f2)
+    want = {(OvershearFlow if over else ShearFlow, axis, str(coeff))
+            for axis, coeff, over in map(_classify_integrable, fields)}
+    got = {(type(f), f.axis, str(f.coeff)) for f in _primitive_step(pair, 0.01, scheme)}
+    assert got == want and len(want) == 4
 
 
 class TestTrotter:
@@ -687,7 +707,7 @@ def test_batched_approximants_match_each_sequence_bit_for_bit(case):
     batch = _sample_batch(nvars, radius, sample_count, seed)
     primitives = [decompose_field(field) for field in table]
     with np.errstate(all="ignore"):
-        ends = _approximant_ends(primitives, nvars, dt, counts, scheme, batch)
+        ends, _ = _approximant_ends(primitives, dt, counts, scheme, batch)
         expected = [build(m).apply_array(batch) for m in counts]
         truths = batch
         for field in table:
@@ -709,7 +729,27 @@ def test_batched_approximants_match_each_sequence_bit_for_bit(case):
     else:
         seq, report = got
         assert report == want
-        assert autoseq_to_json_dict(seq) == autoseq_to_json_dict(build(max(counts)))
+        # the JSON text, not the dicts, so that a signed zero in a time counts
+        assert _sequence_text(seq) == _sequence_text(build(max(counts)))
+
+
+def _sequence_text(seq):
+    return canonical_dumps(autoseq_to_json_dict(seq))
+
+
+@pytest.mark.parametrize("scheme", ["symmetric", "plain"])
+def test_isotopy_sequence_needs_neither_trotter_compose_nor_then(monkeypatch, scheme):
+    table = [F("[x1*x2; x2^2]"), F("[2+i; 3*x1]"), F("[x1; -x2]")]
+    counts, total_time = [3, 8, 5], 0.5
+    want = _sequence_text(_per_count_model(table, total_time, scheme)(max(counts)))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("approximate_isotopy rebuilt its sequence")
+
+    monkeypatch.setattr(dynamics, "trotter_compose", refuse)
+    monkeypatch.setattr(AutoSeq, "then", refuse)
+    seq, _ = approximate_isotopy(table, total_time, len(table), counts, 0.5, 4, 11, scheme)
+    assert _sequence_text(seq) == want
 
 
 @pytest.mark.parametrize("xs", [[8, 8, 8], [8, 16, 8]])
