@@ -425,42 +425,30 @@ class LieClosureCertificate:
 
 
 def closure_from_json_dict(doc: dict) -> LieClosureCertificate:
-    nvars = doc["nvars"]
+    """The certificate a `to_json_dict` document records; a malformed one raises ShearKitError."""
+    counts = ("nvars", "degree_cap", "depth_cap", "span_dimension", "bracket_depth_reached",
+              "discarded_brackets")
+    serialize.require_keys(doc, "closure certificate", generators=[str], basis=list, targets=list,
+                           **dict.fromkeys(counts, int))
+    nvars, pairs, basis, targets = doc["nvars"], [(str, int)], [], []
+    for rec in doc["basis"]:
+        serialize.require_keys(rec, "basis record", source_kind=str, left=int, right=int | None,
+                               scale=str, corrections=pairs, depth=int)
+        corrections = tuple(serialize.combination_from_json(rec["corrections"]))
+        basis.append(BasisRecord(rec["source_kind"], rec["left"], rec["right"],
+                                 parse_scalar(rec["scale"]), corrections, rec["depth"]))
+    for t in doc["targets"]:
+        serialize.require_keys(t, "target record", field=str, established=bool, reason=str,
+                               combination=list | None)
+        if (combination := t["combination"]) is not None:
+            serialize.require_keys(t, "target record", combination=pairs)
+            combination = tuple(serialize.combination_from_json(combination))
+        targets.append(TargetRecord(parse_vector_field(t["field"], nvars), t["established"],
+                                    combination, t["reason"]))
     generators = [parse_vector_field(g, nvars) for g in doc["generators"]]
-    basis = [
-        BasisRecord(
-            rec["source_kind"],
-            rec["left"],
-            rec["right"],
-            parse_scalar(rec["scale"]),
-            tuple(serialize.combination_from_json(rec["corrections"])),
-            rec["depth"],
-        )
-        for rec in doc["basis"]
-    ]
-    targets = [
-        TargetRecord(
-            parse_vector_field(t["field"], nvars),
-            t["established"],
-            (
-                tuple(serialize.combination_from_json(t["combination"]))
-                if t["combination"] is not None
-                else None
-            ),
-            t.get("reason", ""),
-        )
-        for t in doc["targets"]
-    ]
     return LieClosureCertificate(
-        nvars,
-        doc["degree_cap"],
-        doc["depth_cap"],
-        generators,
-        basis,
-        targets,
-        doc["span_dimension"],
-        doc["bracket_depth_reached"],
-        doc["discarded_brackets"],
+        nvars, doc["degree_cap"], doc["depth_cap"], generators, basis, targets,
+        doc["span_dimension"], doc["bracket_depth_reached"], doc["discarded_brackets"],
     )
 
 

@@ -18,17 +18,18 @@ samples its basin, a Fatou-Bieberbach style domain.
 Every elementary flow has one numeric body, the in-place `update`, on an
 (nvars, k) complex array of k points; `AutoSeq.update` runs the factors'
 updates in turn on the same array.  `apply_array` is `update` on a copy
-(one copy for a whole `AutoSeq`), and `apply` on a one-column batch, so
-single points and batches share their arithmetic.
+(one copy for a whole `AutoSeq`), and `apply` on a one-column batch; no
+update writes a product in place, so a point maps alike alone or batched.
 `apply_exact` is the separate exact-Scalar regime for shears.  The
 Runge-Kutta oracle `integrate_flow` takes the same (nvars, k) arrays,
 with step control per point: a round runs one step count, or two, L and
 2L, side by side in one loop when the last differences show that L will
 not settle every point; `approximate_isotopy` runs its substep counts
-side by side too, from one table of each time slice's splitting factors,
-which also gives its returned sequence.  Every column's arithmetic is
-that of its run alone, so each point's endpoint is bit for bit the one
-it would get by itself, one step count at a time.
+side by side too, once per run of consecutive equal slice fields, from
+one table of its splitting factors, which also gives its returned
+sequence (a table's oracle integrates run by run).  Every column's
+arithmetic is that of its step count alone, so each point's endpoint is
+bit for bit the one it would get by itself, one step count at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,7 +148,9 @@ class OvershearFlow:
     """Exact flow of x_axis * coeff * d/dx_axis: multiplies x_axis by exp(t*coeff).
 
     The field is completely integrable but not locally nilpotent, so its
-    flow is entire holomorphic rather than polynomial.
+    flow is entire holomorphic rather than polynomial.  `update` multiplies
+    out of place: numpy multiplies a one-element row in place in a scalar
+    loop, which rounds otherwise than a batch's vector loop.
     """
 
     axis: int
@@ -158,7 +161,7 @@ class OvershearFlow:
         _shear_coefficient(self.axis, self.coeff)
 
     def update(self, z: np.ndarray) -> None:
-        z[self.axis] *= np.exp(self.time * self.coeff.eval_complex(z))
+        z[self.axis] = z[self.axis] * np.exp(self.time * self.coeff.eval_complex(z))
 
     apply_array = _apply_array
     apply = _apply_point
@@ -734,39 +737,35 @@ def _report_against(
     )
 
 
-def _approximant_ends(slice_primitives: Sequence, dt_slice: float, step_counts: Sequence[int],
+def _approximant_ends(runs: Sequence, dt_slice: float, step_counts: Sequence[int],
                       scheme: str, batch: np.ndarray) -> tuple[list, list]:
     """The batch mapped by each step count's slices of `trotter_compose`, bit for bit,
-    and each slice's one-step factors at the largest count, in application order.
+    and each run's one-step factors at the largest count, length times, in application order.
 
-    `_primitive_step` gives every dt the same factors up to their times, so factor q is
-    one flow with each count's own time on its columns; each time is real or imaginary,
-    so numpy's products with it equal Python's.  A one-point batch, whose one-element
-    rows numpy multiplies in place in a scalar loop, takes each count's own flow."""
+    `runs` holds a (primitives, length) pair per run of equal slices; a count m takes
+    length * m steps of dt_slice / m through a run in one pass.  `_primitive_step` gives
+    every dt the same factors up to their times, so factor q is one flow with each
+    count's own time on its columns; each time is real or imaginary, so numpy's
+    products with it equal Python's."""
     counts = sorted(set(step_counts), reverse=True)
     width, z = batch.shape[1], np.tile(batch, len(counts))
     finest = []
-    for primitives in slice_primitives:
+    for primitives, length in runs:
         factors = list(zip(*(
             [f for p in primitives for f in _primitive_step(p, dt_slice / m, scheme)]
             for m in counts
         )))
-        finest.append([q[0] for q in factors])
+        finest.append([q[0] for q in factors] * length)
         times = [np.repeat(np.array([f.time for f in q], dtype=complex), width) for q in factors]
 
         def advance(z: np.ndarray, active: int, steps: int) -> None:
-            if width == 1:
-                blocks = [z[:, c:c + 1] for c in range(active)]
-                updates = [(f.update, block) for q in factors for f, block in zip(q, blocks)]
-            else:
-                flows = [type(q[0])(q[0].axis, q[0].coeff, row[:active * width])
-                         for q, row in zip(factors, times)]
-                updates = [(flow.update, z) for flow in flows]
+            flows = [type(q[0])(q[0].axis, q[0].coeff, row[:active * width])
+                     for q, row in zip(factors, times)]
             for _ in range(steps):
-                for update, block in updates:
-                    update(block)
+                for flow in flows:
+                    flow.update(z)
 
-        z = np.hstack(_side_by_side(counts, z, advance))
+        z = np.hstack(_side_by_side([length * m for m in counts], z, advance))
     ends = dict(zip(counts, np.hsplit(z, len(counts))))
     return [ends[m] for m in step_counts], finest
 
@@ -786,9 +785,11 @@ def approximate_isotopy(
     Each of the `slices` time slices uses the field sampled at its
     midpoint; the finest entry of `substep_counts` provides the returned
     sequence, and all entries feed the convergence report against the
-    Runge-Kutta oracle.  The report runs every entry's steps side by
-    side, with per-column times (`_approximant_ends`); its one-step
-    factors at the finest count, m times per slice, are the sequence.
+    Runge-Kutta oracle.  A run of consecutive equal slice fields is one
+    piece: decomposed once, its steps run for every entry side by side
+    (`_approximant_ends`), and its one-step factors at the finest count m,
+    length * m times, are its part of the sequence.  A table's oracle
+    integrates run by run, never across a discontinuity.
     """
     if slices < 1:
         raise PreconditionError("slices must be at least 1")
@@ -803,23 +804,22 @@ def approximate_isotopy(
     if any(f.nvars != nvars for f in slice_fields):
         sizes = ", ".join(str(f.nvars) for f in slice_fields)
         raise ArityMismatch(f"isotopy fields disagree on their variable count: {sizes}")
-    slice_primitives = [decompose_field(f) for f in slice_fields]
+    runs = [(field, len(list(group))) for field, group in groupby(slice_fields)]
+    split = [(decompose_field(field), length) for field, length in runs]
 
     batch = _sample_batch(nvars, radius, sample_count, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         if table is not None:
-            # a table means piecewise-constant data; integrate slice by slice
-            # so the oracle never steps across a discontinuity
             truths = batch
-            for slice_field in table:
-                truths = integrate_flow(lambda _t, f=slice_field: f, truths, dt_slice)
+            for field, length in runs:
+                truths = integrate_flow(lambda _t, f=field: f, truths, length * dt_slice)
         else:
             truths = integrate_flow(field_at, batch, total_time)
-        ends, finest = _approximant_ends(slice_primitives, dt_slice, substep_counts, scheme, batch)
+        ends, finest = _approximant_ends(split, dt_slice, substep_counts, scheme, batch)
     report = _report_against(ends, truths, substep_counts, radius, seed)
-    # elements run outermost first: the last slice's last step leads
-    per_slice = (step[::-1] * max(substep_counts) for step in reversed(finest))
-    return AutoSeq(nvars, chain.from_iterable(per_slice)), report
+    # elements run outermost first: the last run's last step leads
+    per_run = (steps[::-1] * max(substep_counts) for steps in reversed(finest))
+    return AutoSeq(nvars, chain.from_iterable(per_run)), report
 
 
 # ---------------------------------------------------------------------------

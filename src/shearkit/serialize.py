@@ -41,7 +41,7 @@ def _matches(value, shape) -> bool:
             and all(map(_matches, value, shape))
         )
     if isinstance(value, bool):
-        return False
+        return shape is bool
     if shape is float:
         # json.loads admits NaN and Infinity
         return isinstance(value, (int, float)) and -math.inf < value < math.inf
@@ -51,8 +51,9 @@ def _matches(value, shape) -> bool:
 def require_keys(doc, what: str, **shapes) -> dict:
     """Return `doc` once it is a JSON object whose keys have the given shapes.
 
-    A shape is a type (`float` admits any finite number), ``[shape]`` for a list
-    of such items, or a tuple of shapes for a list of that exact length.
+    A shape is a type or a union such as ``int | None`` (`float` admits any
+    finite number, and only `bool` admits true or false), ``[shape]`` for a
+    list of such items, or a tuple of shapes for a list of that exact length.
     Anything else raises `ShearKitError`, so a malformed input file is a
     usage error rather than a traceback.
     """

@@ -51,8 +51,11 @@ __all__ = [
 
 # verify_local_identities refuses N^2 past this for the N = C(s + t - 1, s) terms of h^s: with
 # h = x3 + ... + x(t + 2), t = 2 to 4, its checks took 30 to 70 us x N^2 on a 2-CPU Xeon, and
-# the largest runs it accepts (t = 2 to 5, n up to 12) took 0.9 to 1.6 s there
+# the largest runs it accepts (t = 2 to 5, n up to 12) took 0.9 to 1.6 s there.  A product weighs
+# 1 + s * b / LOCAL_TRIPLE_BITS_PER_PRODUCT for the b coefficient bits of h beyond a unit's: at
+# s = 172, 123456789*x3 + 987654321*x4 (b = 29) took 17 times as long as x3 + x4 there
 LOCAL_TRIPLE_MAX_PRODUCTS = 30_000
+LOCAL_TRIPLE_BITS_PER_PRODUCT = 300
 
 
 @dataclass(frozen=True)
@@ -263,18 +266,25 @@ def verify_local_identities(
     if n < 2:
         raise PreconditionError("the local identities need at least two variables")
     violations = []
-    terms = max(len(h.terms), 1)
+    terms, unit = max(len(h.terms), 1), LOCAL_TRIPLE_BITS_PER_PRODUCT
+    # the numerator and denominator bits of h's largest coefficient (a + b i)/d beyond 1/1's
+    bits = max((max(abs(c.a), abs(c.b)).bit_length() + c.d.bit_length() - 2
+                for c in h.terms.values()), default=0)
     if not isinstance(s, int) or s < 0:
         violations.append("exponent s must be a non-negative integer")
     # h**s takes s products, and each of the N <= C(s + t - 1, s) terms of h^s is a product of
-    # s of the t terms of h; the bracket products such as h^s * xi * p take about N^2 more.
-    # s alone bounds that work from below, so a huge s never reaches the binomial
-    elif s > MAX_BASIS_SIZE or (s * (size := math.comb(s + terms - 1, s)) > MAX_BASIS_SIZE
-                                or size**2 > LOCAL_TRIPLE_MAX_PRODUCTS):
+    # s of the t terms of h; the bracket products such as h^s * xi * p take about N^2 more, and
+    # every product weighs w = (unit + s * b) / unit.  s alone bounds that work from below, so a
+    # huge s never reaches the binomial
+    elif s > MAX_BASIS_SIZE or (
+        s * (size := math.comb(s + terms - 1, s)) * (weight := unit + s * bits)
+        > MAX_BASIS_SIZE * unit or size**2 * weight > LOCAL_TRIPLE_MAX_PRODUCTS * unit
+    ):
         violations.append(
-            f"exponent s = {s} is over budget: with t = {terms} terms in h, h^s has up to "
-            f"N = C(s + t - 1, s) terms, and s * N must be at most {MAX_BASIS_SIZE} "
-            f"and N^2 at most {LOCAL_TRIPLE_MAX_PRODUCTS}"
+            f"exponent s = {s} is over budget: with t = {terms} terms and b = {bits} coefficient "
+            f"bits in h, h^s has up to N = C(s + t - 1, s) terms and a product weighs w = 1 + s * "
+            f"b / {unit}; s * N * w must be at most {MAX_BASIS_SIZE} and N^2 * w at most "
+            f"{LOCAL_TRIPLE_MAX_PRODUCTS}"
         )
     if not r.partial(0).is_zero():
         violations.append("r must not depend on x1")

@@ -69,7 +69,9 @@ class TestVerifyIdentity:
     # h^s has at most N = C(s + t - 1, s) terms for the t terms of h: 1 for h = 1,
     # s + 1 for h = x3 + x4 and C(s + 2, 2) for x3 + x4 + x5.  s * N <= 100,000 ends at
     # s = 100,000 and s = 315, and N^2 <= 30,000, the bracket products' bound, at s = 172
-    # and s = 17; x3 + x4 + x5 at s = 40, which s * N admits, ran for 28 s before that
+    # and s = 17; x3 + x4 + x5 at s = 40, which s * N admits, ran for 28 s before that.
+    # Coefficient bits raise each product's cost: the last two ran for 15 and 17 s at s = 172,
+    # where x3 + x4 takes under 1 s
     @pytest.mark.parametrize(
         "h, s, code",
         [
@@ -81,6 +83,8 @@ class TestVerifyIdentity:
             ("x3 + x4", 173, EXIT_USAGE),
             ("x3 + x4", 20, EXIT_OK),
             ("x3 + x4 + x5", 40, EXIT_USAGE),
+            ("123456789*x3 + 987654321*x4", 172, EXIT_USAGE),
+            ("(2/3+i)*x3 + (5/7)*x4", 172, EXIT_USAGE),
         ],
     )
     def test_local_triple_exponent_is_bounded_by_the_work_of_h_to_the_s(self, capsys, h, s, code):

@@ -481,6 +481,52 @@ def test_replay_rejects_an_index_out_of_range(kind, past_end):
     assert not replay_closure(closure_from_json_dict(doc))
 
 
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param((), [], id="document-list"),
+        pytest.param(("nvars",), _DELETE, id="nvars-missing"),
+        pytest.param(("generators",), "[1; 0]", id="generators-text"),
+        pytest.param(("basis",), {}, id="basis-object"),
+        pytest.param(("degree_cap",), "2", id="degree-cap-text"),
+        pytest.param(("discarded_brackets",), True, id="discarded-bool"),
+        pytest.param(("basis", 0), "generator", id="basis-record-text"),
+        pytest.param(("basis", 0, "scale"), _DELETE, id="scale-missing"),
+        pytest.param(("basis", 0, "left"), "0", id="left-text"),
+        pytest.param(("basis", 0, "right"), 1.5, id="right-float"),
+        pytest.param(("basis", -1, "corrections"), [["1"]], id="correction-short"),
+        pytest.param(("targets", 0), None, id="target-null"),
+        pytest.param(("targets", 0, "established"), _DELETE, id="established-missing"),
+        pytest.param(("targets", 0, "established"), 1, id="established-int"),
+        pytest.param(("targets", 0, "combination"), _DELETE, id="combination-missing"),
+        pytest.param(("targets", 0, "combination"), "x1", id="combination-text"),
+        pytest.param(("targets", 0, "combination"), [[1, 0]], id="combination-number"),
+        pytest.param(("targets", 0, "reason"), _DELETE, id="reason-missing"),
+        pytest.param(("targets", 0, "field"), 3, id="field-number"),
+    ],
+)
+def test_malformed_closure_document_is_refused(path, value):
+    cert = lie_closure(shear_generator_family(2, 2), 2, targets=monomial_field_targets(2, 2))
+    doc = json.loads(json.dumps(cert.to_json_dict()))
+    assert replay_closure(closure_from_json_dict(doc))
+    if path:
+        *parents, key = path
+        entry = doc
+        for part in parents:
+            entry = entry[part]
+        if value is _DELETE:
+            del entry[key]
+        else:
+            entry[key] = value
+    else:
+        doc = value
+    with pytest.raises(ShearKitError):
+        closure_from_json_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # lie_closure against a plain reference loop
 # ---------------------------------------------------------------------------

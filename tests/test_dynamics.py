@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -699,19 +700,24 @@ def _per_count_model(table, total_time, scheme):
 @given(isotopy_cases())
 # a constant complex coefficient, an overshear from a linear component, three slices
 @example(([F("[2+i; 3*x1]"), F("[x1; -x2]"), F("[x2^2; 1/2]")], "plain", [5, 2, 7], 4))
+# a run of two equal slices with overshears, at one point
+@example(([F("[x1; -x2]"), F("[x1; -x2]"), F("[x2^2; 1/2]")], "symmetric", [3, 1, 4], 1))
 def test_batched_approximants_match_each_sequence_bit_for_bit(case):
     table, scheme, counts, sample_count = case
     total_time, radius, seed = 0.5, 0.5, 11
     nvars, dt = table[0].nvars, total_time / len(table)
     build = _per_count_model(table, total_time, scheme)
     batch = _sample_batch(nvars, radius, sample_count, seed)
-    primitives = [decompose_field(field) for field in table]
+    runs = [(field, len(list(group))) for field, group in groupby(table)]
     with np.errstate(all="ignore"):
-        ends, _ = _approximant_ends(primitives, dt, counts, scheme, batch)
+        ends, _ = _approximant_ends(
+            [(decompose_field(field), length) for field, length in runs], dt, counts, scheme, batch
+        )
         expected = [build(m).apply_array(batch) for m in counts]
+        # the oracle integrates each run of equal slices in one call
         truths = batch
-        for field in table:
-            truths = integrate_flow(lambda _t, f=field: f, truths, dt)
+        for field, length in runs:
+            truths = integrate_flow(lambda _t, f=field: f, truths, length * dt)
     assert [nan_blind_bits(end) for end in ends] == [nan_blind_bits(end) for end in expected]
 
     def outcome(run):
@@ -749,6 +755,38 @@ def test_isotopy_sequence_needs_neither_trotter_compose_nor_then(monkeypatch, sc
     monkeypatch.setattr(dynamics, "trotter_compose", refuse)
     monkeypatch.setattr(AutoSeq, "then", refuse)
     seq, _ = approximate_isotopy(table, total_time, len(table), counts, 0.5, 4, 11, scheme)
+    assert _sequence_text(seq) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences_and_batches())
+def test_a_point_maps_alone_bit_for_bit_as_in_a_batch(case):
+    seq, batch = case
+    with np.errstate(all="ignore"):
+        together = seq.apply_array(batch)
+        alone = [seq.apply(tuple(column)) for column in batch.T.tolist()]
+    assert [nan_blind_bits(z) for z in alone] == [nan_blind_bits(z) for z in together.T]
+
+
+@pytest.mark.parametrize("scheme", ["symmetric", "plain"])
+def test_a_repeated_field_is_decomposed_and_integrated_once(monkeypatch, scheme):
+    field, slices, counts, total_time = F("[x1*x2; x2^2]"), 5, [3, 8, 5], 0.5
+    want = _sequence_text(_per_count_model([field] * slices, total_time, scheme)(max(counts)))
+    calls = {"decompose_field": 0, "integrate_flow": 0}
+
+    def counted(name):
+        original = getattr(dynamics, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counted(name))
+    seq, _ = approximate_isotopy([field] * slices, total_time, slices, counts, 0.5, 4, 11, scheme)
+    assert calls == {"decompose_field": 1, "integrate_flow": 1}
     assert _sequence_text(seq) == want
 
 

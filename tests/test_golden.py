@@ -230,6 +230,19 @@ GOLDEN = [
         {"-o": "ec65d196803850cf404f9250d0bd47cc9d76174125fbbc14f704d747c412edb1"},
         id="approx-constant-coefficient-unsorted",
     ),
+    # one point, whose overshear rows are updated out of place as in a batch
+    pytest.param(
+        ["approx", "--field", "[x1*x2; x2^2]", "--substeps", "4,8,16", "--points", "1"],
+        {"-o": "fab674ffd8706ca52d4fa43917c01e633f9290eadb5dafab52b04a6e2735f7cd"},
+        id="approx-one-point",
+    ),
+    # three equal slices, split as one run and integrated by one oracle call
+    pytest.param(
+        ["approx", "--field", "[x1*x2; x2^2]", "--substeps", "4,8,16", "--points", "10",
+         "--steps", "3"],
+        {"-o": "b69dc6057fb8d1e57853033c5c9ee8dd51679c3f209d96794bb447afb897331a"},
+        id="approx-field-three-steps",
+    ),
 ]
 
 
